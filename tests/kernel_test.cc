@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <span>
+#include <string>
+#include <vector>
+
 #include "core/cpu_matcher.h"
 #include "cst/partition.h"
 #include "query/matching_order.h"
@@ -208,6 +213,176 @@ TEST(SimulatedKernelSecondsTest, VariantOrderingHolds) {
   EXPECT_GT(basic, task);
   EXPECT_GT(task, sep);
   EXPECT_GT(sep, 0.0);
+}
+
+
+// ---- Golden kernel counters. ----
+//
+// KernelCounters and the round trace are the only inputs the cycle model
+// (Eqs. 1-4) and the pipeline simulation see, so every simulated figure
+// rests on them. This table pins them bit-exactly for LDBC q0-q8 on the seed
+// graph, at the default N_o and at N_o = 3 (which forces the resume-cursor
+// path, take < remaining, on nearly every round). Any rewrite of RunKernel's
+// inner loop must reproduce every row; a mismatch prints the measured row in
+// table syntax.
+
+struct GoldenKernelRun {
+  int query;
+  std::uint32_t max_new_partials;
+  KernelCounters counters;  // N, M, visited, rounds, results, max buffer
+  std::uint64_t embeddings;
+  std::uint64_t trace_digest;     // FNV-1a over the RoundWork trace
+  std::uint64_t emission_digest;  // FNV-1a over embeddings in emission order
+  double basic_seconds;
+  double task_seconds;
+  double sep_seconds;
+};
+
+constexpr std::uint32_t kDefaultNo = FpgaConfig{}.max_new_partials;
+
+const GoldenKernelRun kGoldenKernelRuns[] = {
+    {0, kDefaultNo, {4397, 4264, 4397, 3, 105, 133}, 105,
+     0x12ae0c22abfd85f8ULL, 0xbc14918f7b7937c4ULL,
+     8.8566498209635417e-05, 4.5458333333333331e-05, 3.0801666666666667e-05},
+    {0, 3, {4397, 4264, 4397, 1473, 105, 6}, 105,
+     0xce54e701f7e80126ULL, 0x22abd144f29dc5f0ULL,
+     0.00015674499999999999, 7.9758333333333339e-05, 6.5101666666666667e-05},
+    {1, kDefaultNo, {811, 0, 811, 3, 729, 67}, 729,
+     0x099f5306110ae566ULL, 0x6d969defc60a200eULL,
+     1.2741633300781249e-05, 1.0035e-05, 7.3316666666666671e-06},
+    {1, 3, {811, 0, 811, 279, 729, 7}, 729,
+     0x494e022cb98bda26ULL, 0x86776edafb5ca722ULL,
+     2.368388888888889e-05, 1.6475000000000001e-05, 1.3771666666666667e-05},
+    {2, kDefaultNo, {2488, 2252, 2488, 2, 480, 236}, 480,
+     0x4dc812b42e26ec0cULL, 0x79074c83beb97745ULL,
+     4.9848372395833335e-05, 2.6527916666666667e-05, 1.8234583333333333e-05},
+    {2, 3, {2488, 2252, 2488, 845, 480, 6}, 480,
+     0xf2aba416c197b665ULL, 0xc33564b18078fbc5ULL,
+     8.8331249999999996e-05, 4.6197916666666664e-05, 3.7904583333333333e-05},
+    {3, kDefaultNo, {17462, 14926, 17462, 6, 64, 2266}, 64,
+     0xd7dee30fabfacd2eULL, 0xd8d83049084b9b6dULL,
+     0.00033419118001302083, 0.0001763825, 0.00011817583333333333},
+    {3, 3, {17462, 14926, 17462, 6035, 64, 9}, 64,
+     0xd949ac2e91af80c4ULL, 0x03f4a7bc7bc00561ULL,
+     0.00060495250000000003, 0.00031705916666666665, 0.00025885250000000002},
+    {4, kDefaultNo, {12824, 6176, 12824, 6, 2577, 4130}, 2577,
+     0xf98a5d0db040aae5ULL, 0x4c651deab2e90926ULL,
+     0.00021912723307291666, 0.00013514500000000001, 9.2398333333333339e-05},
+    {4, 3, {12824, 6176, 12824, 4288, 2577, 9}, 2577,
+     0x939eed12653dce84ULL, 0x1c77d585c5678996ULL,
+     0.00040394722222222222, 0.00023505833333333333, 0.00019231166666666666},
+    {5, kDefaultNo, {171, 52, 171, 4, 14, 45}, 14,
+     0x39ca343851076e57ULL, 0xf0508d74ab495b65ULL,
+     3.4178637695312498e-06, 2.5004166666666665e-06, 1.9304166666666665e-06},
+    {5, 3, {171, 52, 171, 63, 14, 6}, 14,
+     0x68c76a5623618ce6ULL, 0x31034616a0cdfce5ULL,
+     5.8593055555555561e-06, 3.877083333333333e-06, 3.3070833333333334e-06},
+    {6, kDefaultNo, {2541, 2252, 2541, 4, 480, 236}, 480,
+     0x56cfeec07bb60559ULL, 0x9bc798065dd93325ULL,
+     5.1080671386718748e-05, 2.7583333333333334e-05, 1.9113333333333332e-05},
+    {6, 3, {2541, 2252, 2541, 861, 480, 9}, 480,
+     0x7e0a986d3a5191c5ULL, 0xbb3f733085a5b705ULL,
+     9.0184444444444439e-05, 4.7580000000000002e-05, 3.9110000000000003e-05},
+    {7, kDefaultNo, {632, 461, 632, 5, 114, 52}, 114,
+     0x9e00ba409468b9a1ULL, 0xa9ceebebb3510d25ULL,
+     1.28266552734375e-05, 7.6433333333333336e-06, 5.5366666666666665e-06},
+    {7, 3, {632, 461, 632, 225, 114, 8}, 114,
+     0x3016bc8285b54ce7ULL, 0xc19d58be550e7065ULL,
+     2.2492222222222222e-05, 1.2776666666666667e-05, 1.0669999999999999e-05},
+    {8, kDefaultNo, {8738, 8502, 8738, 4, 1432, 480}, 1432,
+     0xbc65197970560a2eULL, 0x6c8846a1eef229a5ULL,
+     0.00017720605957031251, 9.1349999999999998e-05, 6.2223333333333338e-05},
+    {8, 3, {8738, 8502, 8738, 3055, 1432, 9}, 1432,
+     0x771ea0f5073dc6a5ULL, 0xb9ed4772d0ed51a5ULL,
+     0.00031578444444444441, 0.00016254, 0.00013341333333333333},
+};
+
+std::uint64_t Fnv1a(std::uint64_t h, std::uint64_t x) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (x >> (8 * i)) & 0xff;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
+
+GoldenKernelRun MeasureKernelRun(const Graph& g, int query_index,
+                                 std::uint32_t max_new_partials) {
+  const QueryGraph q = LdbcQuery(query_index).value();
+  const auto order = ComputeMatchingOrder(q, g, OrderPolicy::kPathBased).value();
+  const Cst cst = BuildCst(q, g, order.root).value();
+  FpgaConfig config;
+  config.max_new_partials = max_new_partials;
+
+  GoldenKernelRun got{};
+  got.query = query_index;
+  got.max_new_partials = max_new_partials;
+  got.emission_digest = kFnvOffset;
+  ResultCollector collector;
+  collector.SetCallback([&](std::span<const VertexId> m) {
+    for (VertexId v : m) got.emission_digest = Fnv1a(got.emission_digest, v);
+  });
+  std::vector<RoundWork> trace;
+  const auto run = RunKernel(cst, order, config, &collector, &trace).value();
+  got.counters = run.counters;
+  got.embeddings = run.embeddings;
+  got.trace_digest = kFnvOffset;
+  for (const RoundWork& r : trace) {
+    got.trace_digest = Fnv1a(got.trace_digest, r.new_partials);
+    got.trace_digest = Fnv1a(got.trace_digest, r.backward_groups);
+  }
+  const auto seconds = [&](FastVariant v) {
+    return SimulatedKernelSeconds(config, v, run, cst.SizeWords(), q.NumVertices());
+  };
+  got.basic_seconds = seconds(FastVariant::kBasic);
+  got.task_seconds = seconds(FastVariant::kTask);
+  got.sep_seconds = seconds(FastVariant::kSep);
+  return got;
+}
+
+std::string FormatGoldenRow(const GoldenKernelRun& r) {
+  const KernelCounters& c = r.counters;
+  char buf[512];
+  std::snprintf(buf, sizeof(buf),
+                "{%d, %u, {%llu, %llu, %llu, %llu, %llu, %llu}, %llu, "
+                "0x%016llxULL, 0x%016llxULL, %.17g, %.17g, %.17g}",
+                r.query, r.max_new_partials,
+                static_cast<unsigned long long>(c.partial_results),
+                static_cast<unsigned long long>(c.edge_tasks),
+                static_cast<unsigned long long>(c.visited_tasks),
+                static_cast<unsigned long long>(c.rounds),
+                static_cast<unsigned long long>(c.results),
+                static_cast<unsigned long long>(c.max_buffer_entries),
+                static_cast<unsigned long long>(r.embeddings),
+                static_cast<unsigned long long>(r.trace_digest),
+                static_cast<unsigned long long>(r.emission_digest),
+                r.basic_seconds, r.task_seconds, r.sep_seconds);
+  return buf;
+}
+
+TEST(KernelGoldenTest, CountersTraceAndSimulatedTimesArePinned) {
+  const Graph g = SmallLdbcGraph();
+  ASSERT_EQ(std::size(kGoldenKernelRuns), 2u * kNumLdbcQueries);
+  for (const GoldenKernelRun& want : kGoldenKernelRuns) {
+    const GoldenKernelRun got =
+        MeasureKernelRun(g, want.query, want.max_new_partials);
+    SCOPED_TRACE("measured " + FormatGoldenRow(got));
+    const KernelCounters& wc = want.counters;
+    const KernelCounters& gc = got.counters;
+    EXPECT_EQ(gc.partial_results, wc.partial_results);
+    EXPECT_EQ(gc.edge_tasks, wc.edge_tasks);
+    EXPECT_EQ(gc.visited_tasks, wc.visited_tasks);
+    EXPECT_EQ(gc.rounds, wc.rounds);
+    EXPECT_EQ(gc.results, wc.results);
+    EXPECT_EQ(gc.max_buffer_entries, wc.max_buffer_entries);
+    EXPECT_EQ(got.embeddings, want.embeddings);
+    EXPECT_EQ(got.trace_digest, want.trace_digest);
+    EXPECT_EQ(got.emission_digest, want.emission_digest);
+    EXPECT_DOUBLE_EQ(got.basic_seconds, want.basic_seconds);
+    EXPECT_DOUBLE_EQ(got.task_seconds, want.task_seconds);
+    EXPECT_DOUBLE_EQ(got.sep_seconds, want.sep_seconds);
+  }
 }
 
 }  // namespace
