@@ -1,5 +1,6 @@
 #include "core/cpu_matcher.h"
 
+#include "core/step_plan.h"
 #include "obs/profiler.h"
 #include "simd/intersect.h"
 #include "util/logging.h"
@@ -12,9 +13,7 @@ struct CpuMatchState {
   const Cst* cst;
   const std::vector<VertexId>* order;
   const simd::Kernels* kernels;                   // pinned once per match
-  std::vector<int> order_pos;                     // query vertex -> order index
-  std::vector<int> parent_pos;                    // order index -> parent order index
-  std::vector<std::vector<std::pair<VertexId, int>>> backward;  // per order index
+  std::vector<OrderStep> steps;                   // per order index
   std::vector<std::uint32_t> root_positions;      // iota over C(order[0])
   std::vector<std::vector<std::uint32_t>> scratch;  // per-depth intersect buffer
   std::vector<std::uint32_t> positions;           // matched candidate positions
@@ -64,13 +63,14 @@ struct CpuMatchState {
 
   void Recurse(std::size_t depth) {
     const std::size_t n = order->size();
-    const VertexId u = (*order)[depth];
+    const OrderStep& step = steps[depth];
+    const VertexId u = step.u;
     std::span<const std::uint32_t> cands;
     if (depth == 0) {
       cands = root_positions;
     } else {
-      const VertexId up = (*order)[static_cast<std::size_t>(parent_pos[depth])];
-      cands = cst->Neighbors(up, u, positions[static_cast<std::size_t>(parent_pos[depth])]);
+      const auto pp = static_cast<std::size_t>(step.parent_pos);
+      cands = cst->Neighbors((*order)[pp], u, positions[pp]);
     }
     // Backward (non-tree) edges: a candidate position t of u survives iff t
     // is a CST-neighbor of every already-matched backward endpoint. Both
@@ -78,7 +78,7 @@ struct CpuMatchState {
     // one intersection per backward edge instead of a binary search per
     // (candidate, edge) pair; later edges refine the scratch buffer in
     // place.
-    const auto& bwd = backward[depth];
+    const auto& bwd = step.backward;
     if (!bwd.empty() && !cands.empty()) {
       FAST_PROF_STAGE("intersect");
       ChargeProbes(cands.size());
@@ -134,38 +134,12 @@ StatusOr<std::uint64_t> MatchCstOnCpu(const Cst& cst, const MatchingOrder& order
   if (cancel != nullptr && cancel->Cancelled()) {
     return Status::DeadlineExceeded("cpu match cancelled mid-match");
   }
-  const std::size_t n = cst.NumQueryVertices();
-  if (order.order.size() != n) {
-    return Status::InvalidArgument("order arity does not match CST");
-  }
-  const BfsTree& tree = cst.layout().tree();
-  if (order.order.empty() || order.order[0] != tree.root()) {
-    return Status::InvalidArgument("order root does not match CST root");
-  }
-
   CpuMatchState st;
+  FAST_ASSIGN_OR_RETURN(st.steps, BuildStepPlan(cst, order));
+  const std::size_t n = st.steps.size();
   st.cst = &cst;
   st.order = &order.order;
   st.kernels = &simd::Active();
-  st.order_pos.assign(n, -1);
-  for (std::size_t i = 0; i < n; ++i) st.order_pos[order.order[i]] = static_cast<int>(i);
-  st.parent_pos.assign(n, -1);
-  st.backward.assign(n, {});
-  for (std::size_t i = 1; i < n; ++i) {
-    const VertexId u = order.order[i];
-    const VertexId up = tree.parent(u);
-    if (up == kInvalidVertex || st.order_pos[up] >= static_cast<int>(i)) {
-      return Status::InvalidArgument("order is not tree-connected");
-    }
-    st.parent_pos[i] = st.order_pos[up];
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    for (VertexId un : tree.non_tree_neighbors(order.order[i])) {
-      if (st.order_pos[un] < static_cast<int>(i)) {
-        st.backward[i].emplace_back(un, st.order_pos[un]);
-      }
-    }
-  }
   st.root_positions.resize(cst.NumCandidates(order.order[0]));
   for (std::uint32_t i = 0; i < st.root_positions.size(); ++i) {
     st.root_positions[i] = i;

@@ -5,6 +5,7 @@
 #include "core/cpu_matcher.h"
 #include "cst/cst_serialize.h"
 #include "cst/workload.h"
+#include "obs/profiler.h"
 #include "util/logging.h"
 #include "util/timer.h"
 
@@ -73,11 +74,9 @@ StatusOr<FastRunResult> RunFastWithCst(const Cst& cst, const MatchingOrder& orde
   // --- FAST-DRAM strawman: no partitioning, CST stays in card DRAM. ---
   if (options.variant == FastVariant::kDram) {
     obs::ScopedSpan match_span(options.trace, obs::Span::kMatch);
-    Timer t;
     FAST_ASSIGN_OR_RETURN(KernelRunResult run,
                           RunKernel(cst, result.order, options.fpga, &collector,
                                     /*round_trace=*/nullptr, options.cancel));
-    (void)t;
     result.counters = run.counters;
     result.embeddings = run.embeddings;
     result.kernel_seconds = SimulatedKernelSeconds(
@@ -116,9 +115,15 @@ StatusOr<FastRunResult> RunFastWithCst(const Cst& cst, const MatchingOrder& orde
   double pcie_seconds = 0.0;
   const auto fpga_sink = [&](Cst part) -> Status {
     w_fpga += EstimateWorkload(part);
-    FAST_ASSIGN_OR_RETURN(KernelRunResult run,
-                          RunKernel(part, result.order, options.fpga, &collector,
-                                    /*round_trace=*/nullptr, options.cancel));
+    KernelRunResult run;
+    {
+      // Same stage name as the device executor's, so profiles attribute
+      // inline kernel time below serve;match.
+      FAST_PROF_STAGE("kernel");
+      FAST_ASSIGN_OR_RETURN(run, RunKernel(part, result.order, options.fpga,
+                                           &collector, /*round_trace=*/nullptr,
+                                           options.cancel));
+    }
     result.counters += run.counters;
     result.embeddings += run.embeddings;
     kernel_seconds += SimulatedKernelSeconds(options.fpga, options.variant, run,

@@ -2,21 +2,12 @@
 
 #include <algorithm>
 
-#include "util/logging.h"
+#include "core/step_plan.h"
+#include "simd/intersect.h"
 
 namespace fast {
 
 namespace {
-
-// Static per-order-position execution plan.
-struct OrderStep {
-  VertexId u = kInvalidVertex;
-  int parent_order_pos = -1;  // position of u's t_q parent in the order
-  // Backward non-tree neighbors of u: (query vertex, order position). These
-  // are the edge-validation tasks t_n each new p_o spawns (Alg. 5 lines
-  // 10-12); forward non-tree edges are checked when the later endpoint maps.
-  std::vector<std::pair<VertexId, int>> backward_non_tree;
-};
 
 // One buffered partial result: candidate positions and the corresponding
 // data vertices for order positions [0, depth), plus a resume cursor into
@@ -31,6 +22,11 @@ struct LevelBuffer {
   bool Empty() const { return flat.empty(); }
   std::uint32_t* Back() { return flat.data() + flat.size() - stride; }
   void PopBack() { flat.resize(flat.size() - stride); }
+  // Appends a zeroed row and returns it; the caller fills what it maps.
+  std::uint32_t* PushBack() {
+    flat.resize(flat.size() + stride);
+    return Back();
+  }
 };
 
 }  // namespace
@@ -41,36 +37,9 @@ StatusOr<KernelRunResult> RunKernel(const Cst& cst, const MatchingOrder& order,
                                     std::vector<RoundWork>* round_trace,
                                     const CancelToken* cancel) {
   FAST_RETURN_IF_ERROR(config.Validate());
+  FAST_ASSIGN_OR_RETURN(const std::vector<OrderStep> steps,
+                        BuildStepPlan(cst, order));
   const std::size_t n = cst.NumQueryVertices();
-  if (order.order.size() != n) {
-    return Status::InvalidArgument("order arity does not match CST");
-  }
-  const BfsTree& tree = cst.layout().tree();
-  if (order.order.empty() || order.order[0] != tree.root()) {
-    return Status::InvalidArgument("order root does not match CST root");
-  }
-
-  // Build the per-step plan.
-  std::vector<int> order_pos(n, -1);
-  for (std::size_t i = 0; i < n; ++i) order_pos[order.order[i]] = static_cast<int>(i);
-  std::vector<OrderStep> steps(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const VertexId u = order.order[i];
-    steps[i].u = u;
-    if (i > 0) {
-      const VertexId up = tree.parent(u);
-      if (up == kInvalidVertex || order_pos[up] >= static_cast<int>(i)) {
-        return Status::InvalidArgument("order is not tree-connected");
-      }
-      steps[i].parent_order_pos = order_pos[up];
-    }
-    for (VertexId un : tree.non_tree_neighbors(u)) {
-      if (order_pos[un] < static_cast<int>(i)) {
-        steps[i].backward_non_tree.emplace_back(un, order_pos[un]);
-      }
-    }
-  }
-
   const std::size_t stride = 2 * n + 1;
   const std::uint32_t no = config.max_new_partials;
   // Levels 1..n-1 hold partial results with that many mapped vertices.
@@ -80,12 +49,14 @@ StatusOr<KernelRunResult> RunKernel(const Cst& cst, const MatchingOrder& order,
   KernelRunResult result;
   KernelCounters& c = result.counters;
 
-  const auto root_cands = cst.Candidates(tree.root());
+  const auto root_cands = cst.Candidates(order.order[0]);
   std::size_t root_cursor = 0;
   std::vector<VertexId> embedding(n);
 
-  // Temporary row for the expanded partial result.
-  std::vector<std::uint32_t> row(stride);
+  // Edge Validator output: the survivors of one candidate span, refined in
+  // place per backward edge. A span never exceeds N_o candidates.
+  const simd::Kernels& kernels = simd::Active();
+  std::vector<std::uint32_t> survivors(no);
 
   while (true) {
     // One probe per round: each round is bounded by N_o partials, so an
@@ -101,12 +72,10 @@ StatusOr<KernelRunResult> RunKernel(const Cst& cst, const MatchingOrder& order,
       if (root_cursor >= root_cands.size()) break;
       const std::size_t take =
           std::min<std::size_t>(no, root_cands.size() - root_cursor);
-      for (std::size_t i = 0; i < take; ++i) {
-        row.assign(stride, 0);
-        row[0] = static_cast<std::uint32_t>(root_cursor + i);  // position
-        row[n] = root_cands[root_cursor + i];                  // data vertex
-        row[2 * n] = 0;                                        // cursor
-        levels[1].flat.insert(levels[1].flat.end(), row.begin(), row.end());
+      for (std::size_t i = root_cursor; i < root_cursor + take; ++i) {
+        std::uint32_t* row = levels[1].PushBack();
+        row[0] = static_cast<std::uint32_t>(i);  // position
+        row[n] = root_cands[i];                  // data vertex
       }
       root_cursor += take;
     }
@@ -124,48 +93,44 @@ StatusOr<KernelRunResult> RunKernel(const Cst& cst, const MatchingOrder& order,
     ++c.rounds;
     const OrderStep& step = steps[depth];
     const VertexId u = step.u;
+    const VertexId up = order.order[static_cast<std::size_t>(step.parent_pos)];
     std::uint32_t produced = 0;
 
     while (produced < no && !levels[depth].Empty()) {
       std::uint32_t* pi = levels[depth].Back();
       // Candidate list of u given this partial result: the CST adjacency of
       // the mapped parent candidate (Alg. 5 line 5).
-      const VertexId up = order.order[static_cast<std::size_t>(step.parent_order_pos)];
       const auto cands =
-          cst.Neighbors(up, u, pi[static_cast<std::size_t>(step.parent_order_pos)]);
-      std::uint32_t cursor = pi[2 * n];
-      const std::uint32_t budget = no - produced;
-      const auto remaining = static_cast<std::uint32_t>(cands.size()) - cursor;
-      const std::uint32_t take = std::min(budget, remaining);
+          cst.Neighbors(up, u, pi[static_cast<std::size_t>(step.parent_pos)]);
+      const std::uint32_t cursor = pi[2 * n];
+      const std::uint32_t take =
+          std::min(no - produced, static_cast<std::uint32_t>(cands.size()) - cursor);
+      // Every p_o spawns one visited task and |backward| edge tasks before
+      // any of them is validated.
+      c.partial_results += take;
+      c.visited_tasks += take;
+      c.edge_tasks += std::uint64_t{take} * step.backward.size();
 
-      for (std::uint32_t k = 0; k < take; ++k) {
-        const std::uint32_t t = cands[cursor + k];
+      // Edge validation (Alg. 7): a candidate position survives iff it is a
+      // CST-neighbor of the mapping of every backward non-tree neighbor of
+      // u. Both sides are sorted positions into C(u), so the whole span is
+      // checked with one intersection per edge and survivors stay ascending.
+      const std::uint32_t* valid = cands.data() + cursor;
+      std::size_t num_valid = take;
+      for (const auto& [un, jpos] : step.backward) {
+        const auto nbrs = cst.Neighbors(un, u, pi[static_cast<std::size_t>(jpos)]);
+        num_valid = kernels.intersect(valid, num_valid, nbrs.data(), nbrs.size(),
+                                      survivors.data());
+        valid = survivors.data();
+        if (num_valid == 0) break;
+      }
+
+      for (std::size_t k = 0; k < num_valid; ++k) {
+        const std::uint32_t t = valid[k];
         const VertexId v = cst.Candidate(u, t);
-        ++c.partial_results;
-        ++c.visited_tasks;
-        c.edge_tasks += step.backward_non_tree.size();
-
         // Visited validation (Alg. 6): v must differ from every mapped data
         // vertex; the FPGA compares against all of them in parallel.
-        bool valid = true;
-        for (std::size_t j = 0; j < depth; ++j) {
-          if (pi[n + j] == v) {
-            valid = false;
-            break;
-          }
-        }
-        // Edge validation (Alg. 7): v must be CST-adjacent to the mapping of
-        // every backward non-tree neighbor of u.
-        if (valid) {
-          for (const auto& [un, jpos] : step.backward_non_tree) {
-            if (!cst.HasCstEdge(u, t, un,
-                                pi[static_cast<std::size_t>(jpos)])) {
-              valid = false;
-              break;
-            }
-          }
-        }
-        if (!valid) continue;
+        if (std::find(pi + n, pi + n + depth, v) != pi + n + depth) continue;
 
         // Synchronizer (Alg. 8): complete results are reported, partial ones
         // go back to the buffer one level deeper.
@@ -180,21 +145,18 @@ StatusOr<KernelRunResult> RunKernel(const Cst& cst, const MatchingOrder& order,
             collector->OnEmbedding(embedding);
           }
         } else {
-          std::copy(pi, pi + n, row.begin());
-          std::copy(pi + n, pi + 2 * n, row.begin() + static_cast<std::ptrdiff_t>(n));
+          std::uint32_t* row = levels[depth + 1].PushBack();
+          std::copy(pi, pi + depth, row);
+          std::copy(pi + n, pi + n + depth, row + n);
           row[depth] = t;
           row[n + depth] = v;
-          row[2 * n] = 0;
-          levels[depth + 1].flat.insert(levels[depth + 1].flat.end(), row.begin(),
-                                        row.end());
         }
       }
       produced += take;
-      cursor += take;
-      if (cursor == cands.size()) {
+      if (cursor + take == cands.size()) {
         levels[depth].PopBack();
       } else {
-        pi[2 * n] = cursor;  // resume later rounds from here
+        pi[2 * n] = cursor + take;  // resume later rounds from here
       }
     }
 
@@ -204,7 +166,7 @@ StatusOr<KernelRunResult> RunKernel(const Cst& cst, const MatchingOrder& order,
 
     if (round_trace != nullptr && produced > 0) {
       round_trace->push_back(
-          {produced, static_cast<std::uint16_t>(step.backward_non_tree.size())});
+          {produced, static_cast<std::uint16_t>(step.backward.size())});
     }
   }
 

@@ -185,6 +185,19 @@ DeviceQueryResult DeviceExecutor::FinishQuery(
   return result;
 }
 
+void DeviceExecutor::HoldRounds() {
+  std::lock_guard<util::ProfiledMutex> lock(mu_);
+  rounds_held_ = true;
+}
+
+void DeviceExecutor::ReleaseRounds() {
+  {
+    std::lock_guard<util::ProfiledMutex> lock(mu_);
+    rounds_held_ = false;
+  }
+  cv_.notify_all();
+}
+
 void DeviceExecutor::Shutdown() {
   {
     std::lock_guard<util::ProfiledMutex> lock(mu_);
@@ -211,7 +224,8 @@ void DeviceExecutor::DeviceLoop() {
 
 std::vector<DeviceExecutor::WorkItem> DeviceExecutor::PopRound() {
   std::unique_lock<util::ProfiledMutex> lock(mu_);
-  cv_.wait(lock, [&] { return stopping_ || total_queued_ > 0; });
+  cv_.wait(lock,
+           [&] { return stopping_ || (!rounds_held_ && total_queued_ > 0); });
   if (total_queued_ == 0) return {};
   const std::size_t max_batch = std::max<std::size_t>(1, options_.max_batch_items);
   // Hold the batch open for stragglers from other in-flight queries — this

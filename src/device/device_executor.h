@@ -201,6 +201,14 @@ class DeviceExecutor {
   // last EnqueuePartition.
   DeviceQueryResult FinishQuery(const std::shared_ptr<DeviceQuery>& query);
 
+  // Round-composition hook for deterministic tests: while held, the device
+  // thread forms no new round, so every item enqueued before ReleaseRounds
+  // is visible to the first round formed after it. Shutdown overrides a
+  // hold. EnqueuePartition still blocks past max_queued_items, so a holder
+  // must not enqueue more than that.
+  void HoldRounds();
+  void ReleaseRounds();
+
   // Stops admission, drains every queued item, joins the device thread.
   // Idempotent; also run by the destructor.
   void Shutdown();
@@ -237,6 +245,7 @@ class DeviceExecutor {
   std::unordered_map<std::string, std::shared_ptr<Queue>> queues_;
   std::list<std::shared_ptr<Queue>> active_;  // queues with pending items
   std::size_t total_queued_ = 0;
+  bool rounds_held_ = false;
   bool stopping_ = false;
 
   mutable std::mutex stats_mu_;

@@ -146,35 +146,38 @@ TEST(DeviceExecutorTest, IdenticalImagesInOneRoundTransferOnce) {
   EXPECT_EQ(stats.dedup_bytes_saved, stats.payload_bytes);
 }
 
-// Satellite gate: a hot tenant flooding the device queue must not starve a
-// cold tenant's partitions. The WRR dequeue interleaves queues per round, so
-// the cold query's items land in its FIRST round — the same round structure
-// it gets running solo — instead of queueing behind the whole hot backlog.
+// A hot tenant flooding the device queue must not starve a cold tenant's
+// partitions. The WRR dequeue interleaves queues per round, so the cold
+// query's items land in its FIRST round -- the same round structure it gets
+// running solo -- instead of queueing behind the whole hot backlog. Rounds
+// are held while enqueuing, so round composition is exact, not a race
+// between the device thread and the enqueuing thread.
 TEST(DeviceExecutorTest, ColdTenantRidesFirstRoundDespiteHotFlood) {
   const Graph g = PaperDataGraph();
   const QueryGraph q = PaperQuery();
   const Plan plan = BuildPlan(q, g);
 
   DeviceOptions opts = SmallDeviceOptions();
-  opts.batch_window_seconds = 0.2;  // all items below enqueue within this
+  opts.batch_window_seconds = 0;  // the hold, not a window, gathers items
   opts.max_batch_items = 4;
   constexpr std::size_t kHotItems = 16;
   constexpr std::size_t kColdItems = 2;
 
   // Solo baseline: the cold tenant alone finishes within its first round.
-  std::uint64_t solo_last_round;
   {
     DeviceExecutor device(opts);
     ResultCollector collector;
+    device.HoldRounds();
     auto cold = device.BeginQuery("cold", 1, "kc", plan.order, &collector,
                                   nullptr);
     for (std::size_t i = 0; i < kColdItems; ++i) {
       ASSERT_TRUE(device.EnqueuePartition(cold, plan.cst).ok());
     }
+    device.ReleaseRounds();
     DeviceQueryResult r = device.FinishQuery(cold);
     ASSERT_TRUE(r.status.ok());
-    solo_last_round = r.last_round;
     EXPECT_EQ(r.first_round, 1u);
+    EXPECT_EQ(r.last_round, 1u);
     EXPECT_EQ(r.items, kColdItems);
   }
 
@@ -182,6 +185,7 @@ TEST(DeviceExecutorTest, ColdTenantRidesFirstRoundDespiteHotFlood) {
   DeviceExecutor device(opts);
   ResultCollector hot_collector;
   ResultCollector cold_collector;
+  device.HoldRounds();
   auto hot =
       device.BeginQuery("hot", 1, "kh", plan.order, &hot_collector, nullptr);
   for (std::size_t i = 0; i < kHotItems; ++i) {
@@ -192,19 +196,22 @@ TEST(DeviceExecutorTest, ColdTenantRidesFirstRoundDespiteHotFlood) {
   for (std::size_t i = 0; i < kColdItems; ++i) {
     ASSERT_TRUE(device.EnqueuePartition(cold, plan.cst).ok());
   }
+  device.ReleaseRounds();
   DeviceQueryResult cold_r = device.FinishQuery(cold);
   DeviceQueryResult hot_r = device.FinishQuery(hot);
   ASSERT_TRUE(cold_r.status.ok());
   ASSERT_TRUE(hot_r.status.ok());
   EXPECT_EQ(cold_r.items, kColdItems);
   EXPECT_EQ(hot_r.items, kHotItems);
-  // A/B vs solo: WRR serves the cold queue in the first round formed after
-  // its items arrive. The device may have dispatched one all-hot round
-  // before the cold enqueue ran, so allow exactly one round of slack — but
-  // never the 4+ rounds the 16-item hot backlog needs.
-  EXPECT_LE(cold_r.last_round, solo_last_round + 1);
-  EXPECT_LT(cold_r.last_round, hot_r.last_round);
-  EXPECT_GE(hot_r.last_round, 4u);  // 16 items at <= 4 per round
+  // Round 1 alternates hot, cold, hot, cold: the cold query finishes in the
+  // same round as solo. The 14 remaining hot items need 4 more rounds.
+  EXPECT_EQ(cold_r.first_round, 1u);
+  EXPECT_EQ(cold_r.last_round, 1u);
+  EXPECT_EQ(hot_r.first_round, 1u);
+  EXPECT_EQ(hot_r.last_round, 5u);
+  const DeviceStats stats = device.stats();
+  EXPECT_EQ(stats.rounds, 5u);
+  EXPECT_EQ(stats.max_queries_per_round, 2u);
   // Each item of the flood still matched correctly.
   EXPECT_EQ(cold_r.embeddings, kColdItems * BruteForceCount(q, g));
   EXPECT_EQ(hot_r.embeddings, kHotItems * BruteForceCount(q, g));

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/profiler.h"
 #include "test_util.h"
 
 namespace fast {
@@ -29,6 +30,33 @@ TEST(DriverTest, StoresSampleEmbeddings) {
   options.store_limit = 10;
   auto result = RunFast(q, g, options).value();
   EXPECT_EQ(result.sample_embeddings.size(), 2u);
+}
+
+// Inline matching publishes the same "kernel" stage as the device executor,
+// so profiles attribute RunKernel time below the caller's stage. The
+// embedding callback runs inside RunKernel, so sampling there is exact.
+TEST(DriverTest, InlineKernelRunsInKernelProfilerStage) {
+  obs::Profiler::RegisterCurrentThread("driver-test", obs::ThreadKind::kWorker);
+  obs::Profiler* profiler = obs::Profiler::Default();
+  FastRunOptions options;
+  options.embedding_callback = [&](std::span<const VertexId>) {
+    profiler->SampleOnce();
+  };
+  const obs::ProfileSnapshot before = profiler->Snapshot();
+  {
+    FAST_PROF_STAGE("match");
+    ASSERT_EQ(RunFast(PaperQuery(), PaperDataGraph(), options).value().embeddings,
+              2u);
+  }
+  const obs::ProfileSnapshot delta =
+      obs::DeltaProfile(before, profiler->Snapshot());
+  std::uint64_t kernel_samples = 0;
+  for (const auto& b : delta.buckets) {
+    if (b.kind == obs::ThreadKind::kWorker && b.path == "match;kernel") {
+      kernel_samples = b.samples;
+    }
+  }
+  EXPECT_EQ(kernel_samples, 2u);
 }
 
 TEST(DriverTest, RejectsBadDelta) {

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "core/cpu_matcher.h"
+#include "core/kernel.h"
 #include "query/matching_order.h"
 #include "simd/intersect.h"
 #include "test_util.h"
@@ -10,7 +12,9 @@
 // End-to-end equivalence across kernel levels: for every available SIMD/SWAR
 // level, BuildCst and MatchCstOnCpu must produce a bit-identical CST and
 // identical match counts/embeddings to the scalar reference on the seed
-// datasets. This is the CI gate behind the --simd flag.
+// datasets, and RunKernel (whose Edge Validator intersects through the
+// active level) must reproduce the scalar run's counters, round trace and
+// embeddings in emission order. This is the CI gate behind the --simd flag.
 
 namespace fast {
 namespace {
@@ -21,10 +25,21 @@ using testing::PaperQuery;
 using testing::SmallLdbcGraph;
 using testing::ToSet;
 
+// One RunKernel pass: what the cycle model sees plus the emission order.
+struct KernelPass {
+  KernelCounters counters;
+  std::vector<RoundWork> trace;
+  std::vector<Embedding> embeddings;
+};
+
+// The serving default and a tiny N_o that forces the resume-cursor path.
+constexpr std::uint32_t kKernelBatchSizes[] = {FpgaConfig{}.max_new_partials, 3};
+
 struct MatchResult {
   Cst cst;
   std::uint64_t count = 0;
   std::vector<Embedding> embeddings;
+  std::vector<KernelPass> kernel;  // one per kKernelBatchSizes entry
 };
 
 MatchResult RunWithLevel(simd::Level level, const QueryGraph& q, const Graph& g) {
@@ -37,7 +52,35 @@ MatchResult RunWithLevel(simd::Level level, const QueryGraph& q, const Graph& g)
   ResultCollector collector(1 << 20);
   r.count = MatchCstOnCpu(r.cst, order, &collector).value();
   r.embeddings = collector.stored();
+  for (std::uint32_t no : kKernelBatchSizes) {
+    FpgaConfig config;
+    config.max_new_partials = no;
+    ResultCollector kernel_collector(1 << 20);
+    KernelPass& pass = r.kernel.emplace_back();
+    pass.counters =
+        RunKernel(r.cst, order, config, &kernel_collector, &pass.trace).value().counters;
+    pass.embeddings = kernel_collector.stored();
+  }
   return r;
+}
+
+void ExpectIdenticalKernelPass(const KernelPass& a, const KernelPass& b,
+                               const QueryGraph& q, std::uint32_t no,
+                               simd::Level level) {
+  SCOPED_TRACE(q.name() + " N_o=" + std::to_string(no) + " under " +
+               simd::LevelName(level));
+  EXPECT_EQ(b.counters.partial_results, a.counters.partial_results);
+  EXPECT_EQ(b.counters.edge_tasks, a.counters.edge_tasks);
+  EXPECT_EQ(b.counters.visited_tasks, a.counters.visited_tasks);
+  EXPECT_EQ(b.counters.rounds, a.counters.rounds);
+  EXPECT_EQ(b.counters.results, a.counters.results);
+  EXPECT_EQ(b.counters.max_buffer_entries, a.counters.max_buffer_entries);
+  ASSERT_EQ(b.trace.size(), a.trace.size());
+  for (std::size_t i = 0; i < a.trace.size(); ++i) {
+    EXPECT_EQ(b.trace[i].new_partials, a.trace[i].new_partials) << "round " << i;
+    EXPECT_EQ(b.trace[i].backward_groups, a.trace[i].backward_groups) << "round " << i;
+  }
+  EXPECT_EQ(b.embeddings, a.embeddings);  // same embeddings, same order
 }
 
 void ExpectIdenticalCst(const Cst& a, const Cst& b, simd::Level level) {
@@ -59,7 +102,12 @@ void ExpectIdenticalCst(const Cst& a, const Cst& b, simd::Level level) {
 void CheckAllLevels(const QueryGraph& q, const Graph& g,
                     const std::uint64_t* truth = nullptr) {
   const MatchResult scalar = RunWithLevel(simd::Level::kScalar, q, g);
-  if (truth != nullptr) EXPECT_EQ(scalar.count, *truth) << q.name();
+  if (truth != nullptr) {
+    EXPECT_EQ(scalar.count, *truth) << q.name();
+    for (const KernelPass& pass : scalar.kernel) {
+      EXPECT_EQ(pass.counters.results, *truth) << q.name();
+    }
+  }
   for (int i = 0; i < simd::kNumLevels; ++i) {
     const auto level = static_cast<simd::Level>(i);
     if (level == simd::Level::kScalar || !simd::LevelAvailable(level)) continue;
@@ -69,6 +117,10 @@ void CheckAllLevels(const QueryGraph& q, const Graph& g,
         << q.name() << " under " << simd::LevelName(level);
     EXPECT_EQ(ToSet(got.embeddings), ToSet(scalar.embeddings))
         << q.name() << " under " << simd::LevelName(level);
+    for (std::size_t i = 0; i < std::size(kKernelBatchSizes); ++i) {
+      ExpectIdenticalKernelPass(scalar.kernel[i], got.kernel[i], q,
+                                kKernelBatchSizes[i], level);
+    }
   }
   simd::SetActiveByName("auto");
 }
