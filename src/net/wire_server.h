@@ -1,7 +1,8 @@
 #ifndef FAST_NET_WIRE_SERVER_H_
 #define FAST_NET_WIRE_SERVER_H_
 
-// TCP front end over any service::Frontend (MatchService or TenantRouter).
+// TCP front end over any service::Frontend (TenantRouter, or MatchService —
+// the router with one tenant).
 //
 // One accept thread plus one reader thread per connection. A SUBMIT frame is
 // decoded into a QueryGraph and submitted in callback mode: the completion

@@ -54,15 +54,9 @@ RequestObs::RequestObs(const Options& opts)
                                     "Requests cancelled mid-run by deadline");
   slow_requests_ = m->GetCounter("fast_slow_requests_total",
                                  "Requests over the slow-query threshold");
-  queue_pushes_blocked_ = m->GetCounter(
-      "fast_queue_pushes_blocked_total",
-      "Blocking queue pushes that had to wait for space");
   queue_pops_blocked_ = m->GetCounter(
       "fast_queue_pops_blocked_total",
       "Queue pops that had to wait for an item (workers idle)");
-  queue_push_block_ns_ =
-      m->GetCounter("fast_queue_push_block_ns_total",
-                    "Nanoseconds producers spent blocked on a full queue");
   queue_pop_block_ns_ =
       m->GetCounter("fast_queue_pop_block_ns_total",
                     "Nanoseconds consumers spent blocked on an empty queue");
@@ -94,14 +88,9 @@ void RequestObs::OnRejectedQueueFull() {
   events_.Record(ProcessUptimeSeconds(), "pushback", "");
 }
 
-void RequestObs::OnQueueBlocked(bool is_push, std::uint64_t ns) {
-  if (is_push) {
-    if (queue_pushes_blocked_ != nullptr) queue_pushes_blocked_->Increment();
-    if (queue_push_block_ns_ != nullptr) queue_push_block_ns_->Increment(ns);
-  } else {
-    if (queue_pops_blocked_ != nullptr) queue_pops_blocked_->Increment();
-    if (queue_pop_block_ns_ != nullptr) queue_pop_block_ns_->Increment(ns);
-  }
+void RequestObs::OnPopBlocked(std::uint64_t ns) {
+  if (queue_pops_blocked_ != nullptr) queue_pops_blocked_->Increment();
+  if (queue_pop_block_ns_ != nullptr) queue_pop_block_ns_->Increment(ns);
 }
 
 void RequestObs::OnRejectedQuota() {

@@ -1,11 +1,11 @@
 #ifndef FAST_OBS_REQUEST_OBS_H_
 #define FAST_OBS_REQUEST_OBS_H_
 
-// Per-service observability bundle shared by MatchService and TenantRouter:
-// the request-level registry metrics (outcome counters, latency and per-span
-// histograms, queue-depth gauge), the recent-trace ring, the slow-query
-// retention ring, and the slow-query WARNING log. Both services classify
-// outcomes identically, so the whole finish-side pipeline lives here once.
+// The observability bundle of the serving pool (tenant::TenantRouter, which
+// MatchService wraps as its one-tenant configuration): the request-level
+// registry metrics (outcome counters, latency and per-span histograms,
+// queue-depth gauge, worker pop-wait counters), the recent-trace ring, the
+// slow-query retention ring, and the slow-query WARNING log.
 //
 // It is also the admin plane's attribution point: every OnFinished charges
 // the request's cost vector to the per-tenant resource accountant
@@ -13,8 +13,8 @@
 // breach transitions trigger the flight recorder. One call site, every
 // serving mode.
 //
-// The services keep their per-instance counters (their stats() structs are
-// per-instance views benches compare phase by phase); this bundle adds the
+// The router keeps its per-instance counters (its stats() struct is the
+// per-instance view benches compare phase by phase); this bundle adds the
 // process-wide view on top.
 
 #include <cstdint>
@@ -77,11 +77,10 @@ class RequestObs {
   // Queue-depth gauge (sampled value, set by the owning service).
   void SetQueueDepth(std::size_t depth);
 
-  // BoundedQueue block observer hook: a producer (is_push) or consumer
-  // blocked for `ns` on the service queue. Mirrored into the
-  // fast_queue_pushes_blocked_total / fast_queue_pops_blocked_total /
-  // fast_queue_{push,pop}_block_ns_total counters.
-  void OnQueueBlocked(bool is_push, std::uint64_t ns);
+  // A worker found the request queue empty and blocked for `ns` before work
+  // (or shutdown) arrived: the workers-idle signal, mirrored into the
+  // fast_queue_pops_blocked_total / fast_queue_pop_block_ns_total counters.
+  void OnPopBlocked(std::uint64_t ns);
 
   // Finish-side pipeline: bumps the outcome counter, records the latency
   // and per-span histograms, charges `cost` to the tenant's resource
@@ -124,9 +123,7 @@ class RequestObs {
   Counter* rejected_deadline_ = nullptr;
   Counter* cancelled_midrun_ = nullptr;
   Counter* slow_requests_ = nullptr;
-  Counter* queue_pushes_blocked_ = nullptr;
   Counter* queue_pops_blocked_ = nullptr;
-  Counter* queue_push_block_ns_ = nullptr;
   Counter* queue_pop_block_ns_ = nullptr;
   Gauge* queue_depth_ = nullptr;
   Histogram* latency_ = nullptr;

@@ -3,13 +3,13 @@
 
 // Transport-agnostic request-session surface.
 //
-// MatchService (one graph behind its own pool) and tenant::TenantRouter (many
-// graphs behind one shared pool) expose the same session lifecycle: admit a
-// query, queue it, execute it on a captured snapshot, deliver a
-// RequestResult. Frontend is that lifecycle as one interface, so everything
-// in front of a service — the CLI replay loops, the serving benches, and the
-// wire protocol in src/net/ — is written once against Frontend and runs
-// unchanged over either backend:
+// tenant::TenantRouter (many graphs behind one shared pool) owns the one
+// session lifecycle: admit a query, queue it, execute it on a captured
+// snapshot, deliver a RequestResult. MatchService is a facade over a router
+// holding exactly one graph. Frontend is that lifecycle as one interface, so
+// everything in front of a service — the CLI replay loops, the serving
+// benches, and the wire protocol in src/net/ — is written once against
+// Frontend and runs unchanged over either backend:
 //
 //     callers / net::WireServer / benches
 //                  │  Submit(SessionKey, QueryGraph, RequestOptions)
@@ -139,7 +139,7 @@ static_assert(!std::is_aggregate_v<PlanCacheOptions>,
 
 // ---- Request delivery ledger. ----
 //
-// The id → in-flight bookkeeping both frontends used to duplicate: id
+// The id → in-flight bookkeeping of the router's request lifecycle: id
 // allocation, the waitable map, blocking Wait with once-only semantics, and
 // completion-callback delivery. Thread-safe.
 class RequestLedger {
@@ -217,8 +217,8 @@ class Frontend {
   // ---- Admin-plane surfaces (src/net/admin_http.h). ----
 
   // The finish-side observability bundle: trace rings, per-tenant resource
-  // accounts, SLO burn-rate state. Both backends own one; the default is
-  // for Frontend fakes in tests.
+  // accounts, SLO burn-rate state. The router owns one (MatchService
+  // forwards to its router's); the default is for Frontend fakes in tests.
   virtual const obs::RequestObs* request_obs() const { return nullptr; }
 
   // Readiness for /healthz: accepting work (not shut down) and every

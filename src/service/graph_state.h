@@ -1,9 +1,8 @@
 #ifndef FAST_SERVICE_GRAPH_STATE_H_
 #define FAST_SERVICE_GRAPH_STATE_H_
 
-// Per-graph serving state, factored out of MatchService so that one worker
-// pool can serve many graphs (tenant::TenantRouter) while the single-graph
-// service keeps its original API.
+// Per-graph serving state: one tenant of a tenant::TenantRouter (the pool
+// that serves every frontend; MatchService is the router with one tenant).
 //
 // A GraphState bundles everything that is *about one data graph* and nothing
 // about pools or queues:
@@ -115,13 +114,12 @@ struct GraphStateOptions {
   std::size_t plan_cache_capacity = 64;
   // Byte bound on the summed serialized-CST images; 0 = entries-only bound.
   std::size_t plan_cache_byte_budget = 0;
-  // Fairness-queue key on a shared device executor (the tenant id when this
-  // state serves one tenant of a TenantRouter). Only used in device mode.
-  std::string device_queue_key = "default";
+  // Fairness-queue key on a shared device executor: the id of the tenant
+  // this state serves. Only used in device mode.
+  std::string device_queue_key;
   // Process-wide metrics registry (obs/metrics.h) the state reports into:
   // graph-swap counts, published epoch, and plan-cache traffic. Non-owning;
-  // must outlive the state. nullptr = no registry reporting. NOTE: appended
-  // last — existing call sites brace-initialize this struct positionally.
+  // must outlive the state. nullptr = no registry reporting.
   obs::MetricsRegistry* metrics = nullptr;
 };
 

@@ -1,29 +1,29 @@
 #include "service/match_service.h"
 
-#include <algorithm>
 #include <cstdio>
-#include <optional>
 #include <utility>
 
-#include "obs/profiler.h"
-#include "service/query_signature.h"
+#include "util/logging.h"
 
 namespace fast::service {
 
-struct MatchService::Request {
-  RequestId id = 0;
-  CanonicalQuery canonical;
-  RequestOptions opts;
-  double deadline_seconds = 0.0;  // resolved; 0 = none
-  Timer submitted;
-  // Span recorder (null when tracing is off). Recorded on the client thread
-  // up to the queue push, then exclusively on the worker that popped the
-  // request — the queue handoff orders the two. shared_ptr because a
-  // transport front end may have started it before Submit (resume_trace).
-  std::shared_ptr<obs::RequestTrace> trace;
-  // Delivery slot (Wait or completion callback) in the ledger.
-  std::shared_ptr<RequestLedger::Slot> slot;
-};
+namespace {
+
+tenant::RouterOptions PoolOptions(const ServiceOptions& options) {
+  tenant::RouterOptions pool;
+  static_cast<CommonServingOptions&>(pool) = options;
+  return pool;
+}
+
+// The one tenant: the graph's plan-cache budget, no quota beyond the global
+// queue bound, weight 1.
+tenant::TenantOptions GraphOptions(const ServiceOptions& options) {
+  tenant::TenantOptions graph;
+  static_cast<PlanCacheOptions&>(graph) = options;
+  return graph;
+}
+
+}  // namespace
 
 std::string ServiceStats::Summary() const {
   char buf[400];
@@ -44,203 +44,49 @@ std::string ServiceStats::Summary() const {
 }
 
 MatchService::MatchService(Graph graph, ServiceOptions options)
-    : options_(std::move(options)),
-      state_(std::move(graph),
-             GraphStateOptions{options_.plan_cache_capacity,
-                               options_.plan_cache_byte_budget,
-                               /*device_queue_key=*/"default",
-                               options_.metrics}),
-      obs_(obs::RequestObs::Options{options_.metrics, options_.tracing,
-                                    options_.slow_request_seconds,
-                                    options_.trace_ring_capacity, options_.slo,
-                                    options_.flight}),
-      queue_(options_.queue_capacity, "service_queue") {
-  queue_.set_block_observer(
-      [this](bool is_push, std::uint64_t ns) { obs_.OnQueueBlocked(is_push, ns); });
-  if (options_.device_mode) {
-    // The shared device simulates the same card and variant the per-worker
-    // path would have.
-    device::DeviceOptions dopts = options_.device;
-    dopts.fpga = options_.run.fpga;
-    dopts.variant = options_.run.variant;
-    dopts.metrics = options_.metrics;
-    device_ = std::make_unique<device::DeviceExecutor>(dopts);
-  }
-  std::size_t n = options_.num_workers;
-  if (n == 0) n = std::max(1u, std::thread::hardware_concurrency());
-  workers_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
-  }
+    : router_(PoolOptions(options)) {
+  FAST_CHECK_OK(
+      router_.AddTenant(SessionKey(), std::move(graph), GraphOptions(options)));
 }
 
-MatchService::~MatchService() { Shutdown(); }
+// The tenant is never removed, so the per-tenant lookups below cannot miss.
 
 StatusOr<MatchService::RequestId> MatchService::Submit(const SessionKey&,
                                                        const QueryGraph& q,
                                                        RequestOptions opts) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (shutdown_) return Status::FailedPrecondition("service is shut down");
-  }
-  // Cheap admission pre-check: don't pay for canonicalization when the queue
-  // is already full (the authoritative check is still the TryPush below).
-  if (queue_.size() >= queue_.capacity()) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++rejected_queue_full_;
-    obs_.OnRejectedQueueFull();
-    return Status::ResourceExhausted("request queue full");
-  }
-
-  auto req = std::make_shared<Request>();
-  // A transport-started trace (anchored at frame receive, already carrying
-  // the recv/decode spans) resumes here; otherwise tracing starts now.
-  req->trace = opts.resume_trace != nullptr ? std::move(opts.resume_trace)
-                                            : obs_.StartTrace();
-  // No ScopedSpan here: after the queue push the worker owns the trace, so
-  // nothing on this thread may touch it past that point. Begin(kQueue) below
-  // closes the admit span.
-  if (req->trace != nullptr) req->trace->Begin(obs::Span::kAdmit);
-  FAST_ASSIGN_OR_RETURN(req->canonical, CanonicalizeQuery(q));
-  req->opts = std::move(opts);
-  req->deadline_seconds = req->opts.deadline_seconds >= 0.0
-                              ? req->opts.deadline_seconds
-                              : options_.default_deadline_seconds;
-
-  req->slot = std::make_shared<RequestLedger::Slot>();
-  req->slot->on_complete = req->opts.on_complete;
-  const RequestId id = ledger_.Add(req->slot);
-  req->id = id;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (shutdown_) {
-      ledger_.Forget(id);
-      return Status::FailedPrecondition("service is shut down");
-    }
-    ++submitted_;
-  }
-
-  // Open the queue span BEFORE the push: once the request is in the queue a
-  // worker may already be recording into the trace, and the queue's internal
-  // mutex is what orders this write against the worker's End().
-  if (req->trace != nullptr) req->trace->Begin(obs::Span::kQueue);
-  if (!queue_.TryPush(req)) {
-    ledger_.Forget(id);
-    std::lock_guard<std::mutex> lock(mu_);
-    --submitted_;  // submitted_ counts admitted requests only
-    ++rejected_queue_full_;
-    obs_.OnRejectedQueueFull();
-    return Status::ResourceExhausted("request queue full");
-  }
-  obs_.OnSubmitted();
-  obs_.SetQueueDepth(queue_.size());
-  return id;
+  return router_.Submit(SessionKey(), q, std::move(opts));
 }
 
-StatusOr<RequestResult> MatchService::Wait(RequestId id) {
-  return ledger_.Wait(id);
+std::uint64_t MatchService::SwapGraph(Graph next) {
+  return router_.SwapGraph(SessionKey(), std::move(next)).value();
 }
 
-void MatchService::Shutdown() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (shutdown_) return;
-    shutdown_ = true;
-  }
-  // Workers drain the queued backlog, then exit on the closed queue. The
-  // device shuts down only after every worker has reaped its in-flight
-  // request — a worker blocked in FinishQuery needs the device running.
-  queue_.Close();
-  for (auto& w : workers_) {
-    if (w.joinable()) w.join();
-  }
-  if (device_ != nullptr) device_->Shutdown();
+StatusOr<std::uint64_t> MatchService::ApplyDelta(const GraphDelta& delta) {
+  return router_.ApplyDelta(SessionKey(), delta);
 }
 
-void MatchService::WorkerLoop(std::size_t index) {
-  obs::Profiler::RegisterCurrentThread("worker-" + std::to_string(index),
-                                       obs::ThreadKind::kWorker);
-  while (true) {
-    std::optional<std::shared_ptr<Request>> item;
-    {
-      FAST_PROF_STAGE("queue_pop");
-      item = queue_.Pop();
-    }
-    if (!item.has_value()) return;
-    FAST_PROF_STAGE("serve");
-    std::shared_ptr<Request> req = std::move(*item);
-    if (req->trace != nullptr) req->trace->End();  // closes the queue span
-    obs_.SetQueueDepth(queue_.size());
-    RequestResult result;
-    // Thread-CPU clock around the whole dispatch+execute: this worker's host
-    // cost for the request (a device-mode wait accrues no CPU here).
-    const std::uint64_t cpu_start = ThreadCpuNanos();
-    state_.Serve(req->canonical, req->opts, options_.run,
-                 req->submitted.ElapsedSeconds(), req->deadline_seconds,
-                 device_.get(), req->trace.get(), &result);
-    Finish(std::move(req), std::move(result), ThreadCpuNanos() - cpu_start);
-  }
-}
-
-void MatchService::Finish(std::shared_ptr<Request> req, RequestResult result,
-                          std::uint64_t cpu_ns) {
-  result.total_seconds = req->submitted.ElapsedSeconds();
-  obs::RequestObs::Outcome outcome;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (result.status.ok()) {
-      ++completed_;
-      latency_.Record(result.total_seconds);
-      outcome = obs::RequestObs::Outcome::kCompleted;
-    } else if (result.status.code() == StatusCode::kDeadlineExceeded) {
-      // graph_epoch distinguishes "expired while queued" (never dispatched)
-      // from "aborted mid-run by the cancellation token".
-      if (result.graph_epoch == 0) {
-        ++rejected_deadline_;
-        outcome = obs::RequestObs::Outcome::kRejectedDeadline;
-      } else {
-        ++cancelled_midrun_;
-        outcome = obs::RequestObs::Outcome::kCancelledMidrun;
-      }
-    } else {
-      ++failed_;
-      outcome = obs::RequestObs::Outcome::kFailed;
-    }
-  }
-  obs::RequestCost cost;
-  cost.cpu_ns = cpu_ns;
-  cost.device_kernel_ns =
-      static_cast<std::uint64_t>(result.run.kernel_seconds * 1e9);
-  cost.dma_bytes = result.run.dma_bytes;
-  cost.queue_wait_ns = static_cast<std::uint64_t>(result.queue_seconds * 1e9);
-  cost.plan_cache_bytes = result.plan_bytes_charged;
-  result.trace = obs_.OnFinished(outcome, result.total_seconds,
-                                 std::move(req->trace), req->id,
-                                 result.status.ok(),
-                                 StatusCodeToString(result.status.code()),
-                                 /*tenant_id=*/"", cost);
-  RequestLedger::Deliver(req->id, req->slot, std::move(result));
+GraphSnapshot MatchService::snapshot() const {
+  return router_.snapshot(SessionKey()).value();
 }
 
 ServiceStats MatchService::stats() const {
+  tenant::RouterStats r = router_.stats();
+  FAST_CHECK(r.tenants.size() == 1);
+  const tenant::TenantStats& t = r.tenants.front();
   ServiceStats s;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    s.submitted = submitted_;
-    s.completed = completed_;
-    s.failed = failed_;
-    s.rejected_queue_full = rejected_queue_full_;
-    s.rejected_deadline = rejected_deadline_;
-    s.cancelled_midrun = cancelled_midrun_;
-    s.latency = latency_;
-  }
-  state_.publication_stats(&s.epoch, &s.graph_swaps);
-  s.cache = state_.cache_stats();
-  s.uptime_seconds = uptime_.ElapsedSeconds();
-  if (device_ != nullptr) {
-    s.device_mode = true;
-    s.device = device_->stats();
-  }
+  s.submitted = r.submitted;
+  s.completed = r.completed;
+  s.failed = r.failed;
+  s.rejected_queue_full = r.rejected_queue_full;
+  s.rejected_deadline = r.rejected_deadline;
+  s.cancelled_midrun = r.cancelled_midrun;
+  s.epoch = t.epoch;
+  s.graph_swaps = t.graph_swaps;
+  s.cache = t.cache;
+  s.latency = std::move(r.latency);
+  s.uptime_seconds = r.uptime_seconds;
+  s.device_mode = r.device_mode;
+  s.device = r.device;
   return s;
 }
 

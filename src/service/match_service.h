@@ -1,40 +1,35 @@
 #ifndef FAST_SERVICE_MATCH_SERVICE_H_
 #define FAST_SERVICE_MATCH_SERVICE_H_
 
-// Concurrent query-serving layer over the single-query FAST pipeline.
+// Single-graph query serving over the FAST pipeline.
 //
-//   clients ── Submit ──▶ bounded MPMC queue ──▶ worker pool ──▶ GraphState
-//                 │              │                    │
-//            admission      deadline check       snapshot + plan/CST
-//            control        at dispatch +        cache + execution
-//                           mid-run cancel       (service/graph_state.h)
+//   clients ── Submit ──▶ tenant::TenantRouter ──▶ worker pool ──▶ GraphState
+//                         (one tenant, id "")
 //
-// MatchService owns the *pool and queue mechanics* — admission control,
-// worker threads, per-request bookkeeping, service-level stats — and
-// delegates everything per-graph (epoch-snapshotted graph, epoch-tagged
-// plan/CST cache, request execution and result remap) to one GraphState.
-// The same GraphState type serves many graphs behind one shared pool in
-// tenant::TenantRouter; this class is the single-graph configuration. Both
-// implement the transport-agnostic Frontend interface (service/frontend.h),
-// which is what the wire server, the CLI, and the serving benches code
-// against; the session key is advisory here (one graph serves them all).
+// MatchService is a thin facade: one private tenant::TenantRouter holding
+// exactly one tenant, whose id is the empty SessionKey. Admission control,
+// the queue, the worker pool, outcome classification, cost charging and
+// delivery all live in the router (tenant/tenant_router.h); per-graph state
+// (epoch-snapshotted graph, plan/CST cache, execution and remap) lives in
+// the tenant's GraphState (service/graph_state.h). This class keeps the
+// historical single-graph API and implements the transport-agnostic
+// Frontend interface (service/frontend.h); the session key is advisory
+// here (one graph serves them all), and accounting labels every request
+// with the default tenant.
 //
 // Admission control: Submit never blocks — a full queue rejects with
-// RESOURCE_EXHAUSTED. Per-request deadlines are enforced at dispatch (a
-// request whose deadline passed while queued completes with
-// DEADLINE_EXCEEDED without running) and *during* the run: the worker arms a
-// cooperative cancellation token with the remaining deadline, and the
-// matching loops abort mid-run when it expires (util/cancel.h).
+// RESOURCE_EXHAUSTED before the query is canonicalized. Per-request
+// deadlines are enforced at dispatch (a request whose deadline passed while
+// queued completes with DEADLINE_EXCEEDED without running) and *during* the
+// run: the worker arms a cooperative cancellation token with the remaining
+// deadline, and the matching loops abort mid-run when it expires
+// (util/cancel.h).
 
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <thread>
-#include <unordered_map>
+#include <string>
 #include <vector>
 
-#include "core/driver.h"
 #include "device/device_executor.h"
 #include "graph/graph.h"
 #include "graph/graph_delta.h"
@@ -43,10 +38,9 @@
 #include "service/frontend.h"
 #include "service/graph_state.h"
 #include "service/plan_cache.h"
-#include "util/bounded_queue.h"
+#include "tenant/tenant_router.h"
 #include "util/latency_histogram.h"
 #include "util/status.h"
-#include "util/timer.h"
 
 namespace fast::service {
 
@@ -85,13 +79,10 @@ struct ServiceStats {
 class MatchService : public Frontend {
  public:
   using RequestId = Frontend::RequestId;
-  // Compatibility alias: the snapshot type moved to service/graph_state.h.
-  using GraphSnapshot = service::GraphSnapshot;
 
   // Takes ownership of the data graph and publishes it as epoch 1. Workers
   // start immediately.
   MatchService(Graph graph, ServiceOptions options = {});
-  ~MatchService() override;
 
   MatchService(const MatchService&) = delete;
   MatchService& operator=(const MatchService&) = delete;
@@ -109,7 +100,9 @@ class MatchService : public Frontend {
 
   // Blocks until the request completes. NOT_FOUND (outer status) for
   // unknown, already-waited, or callback-mode ids.
-  StatusOr<RequestResult> Wait(RequestId id) override;
+  StatusOr<RequestResult> Wait(RequestId id) override {
+    return router_.Wait(id);
+  }
 
   using Frontend::SubmitAndWait;
   // Submit + Wait; the Status covers both admission and execution.
@@ -119,78 +112,46 @@ class MatchService : public Frontend {
   }
 
   // Snapshot publication — see GraphState for the epoch semantics.
-  std::uint64_t SwapGraph(Graph next) { return state_.SwapGraph(std::move(next)); }
-  StatusOr<std::uint64_t> ApplyDelta(const GraphDelta& delta) {
-    return state_.ApplyDelta(delta);
-  }
+  std::uint64_t SwapGraph(Graph next);
+  StatusOr<std::uint64_t> ApplyDelta(const GraphDelta& delta);
 
   // Stops admission, drains queued requests, joins workers. Idempotent;
   // also run by the destructor.
-  void Shutdown() override;
+  void Shutdown() override { router_.Shutdown(); }
 
+  // A view over the router's stats: its counters and latency plus the one
+  // tenant's epoch, swap count and plan cache.
   ServiceStats stats() const;
 
   // The currently published snapshot. The returned graph stays valid for as
   // long as the caller holds the shared_ptr, across any number of swaps.
-  GraphSnapshot snapshot() const { return state_.snapshot(); }
-  std::uint64_t epoch() const { return state_.epoch(); }
+  GraphSnapshot snapshot() const;
+  std::uint64_t epoch() const { return snapshot().epoch; }
 
-  std::size_t num_workers() const { return workers_.size(); }
+  std::size_t num_workers() const { return router_.num_workers(); }
 
   // Requests queued but not yet dispatched (periodic-sampler probe).
-  std::size_t queue_depth() const override { return queue_.size(); }
+  std::size_t queue_depth() const override { return router_.queue_depth(); }
 
   // Admin-plane surfaces (service/frontend.h).
-  const obs::RequestObs* request_obs() const override { return &obs_; }
-  bool ready() const override {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (shutdown_) return false;
-    }
-    return state_.epoch() > 0;
+  const obs::RequestObs* request_obs() const override {
+    return router_.request_obs();
   }
+  bool ready() const override { return router_.ready(); }
   std::vector<obs::TimelineRound> device_rounds() const override {
-    return device_ != nullptr ? device_->recent_rounds()
-                              : std::vector<obs::TimelineRound>{};
+    return router_.device_rounds();
   }
 
   // Newest-last rings of retained traces (empty when tracing is off).
   std::vector<std::shared_ptr<const obs::CompletedTrace>> recent_traces() const {
-    return obs_.recent_traces();
+    return router_.recent_traces();
   }
   std::vector<std::shared_ptr<const obs::CompletedTrace>> slow_traces() const {
-    return obs_.slow_traces();
+    return router_.slow_traces();
   }
 
  private:
-  struct Request;
-
-  void WorkerLoop(std::size_t index);
-  void Finish(std::shared_ptr<Request> req, RequestResult result,
-              std::uint64_t cpu_ns);
-
-  const ServiceOptions options_;
-  GraphState state_;
-  obs::RequestObs obs_;
-  Timer uptime_;
-  // The shared simulated card (device mode only). Declared before the
-  // workers that submit to it; shut down after they have drained.
-  std::unique_ptr<device::DeviceExecutor> device_;
-
-  BoundedQueue<std::shared_ptr<Request>> queue_;
-  std::vector<std::thread> workers_;
-  // Id allocation + Wait/callback delivery (service/frontend.h).
-  RequestLedger ledger_;
-
-  mutable std::mutex mu_;  // counters + histogram + shutdown flag
-  std::uint64_t submitted_ = 0;
-  std::uint64_t completed_ = 0;
-  std::uint64_t failed_ = 0;
-  std::uint64_t rejected_queue_full_ = 0;
-  std::uint64_t rejected_deadline_ = 0;
-  std::uint64_t cancelled_midrun_ = 0;
-  LatencyHistogram latency_;
-  bool shutdown_ = false;
+  tenant::TenantRouter router_;
 };
 
 }  // namespace fast::service

@@ -33,9 +33,11 @@ struct TenantRouter::Tenant {
       : id(std::move(tenant_id)),
         opts(options),
         state(std::move(graph),
-              service::GraphStateOptions{options.plan_cache_capacity,
-                                         options.plan_cache_byte_budget,
-                                         /*device_queue_key=*/id, metrics}) {
+              service::GraphStateOptions{
+                  .plan_cache_capacity = options.plan_cache_capacity,
+                  .plan_cache_byte_budget = options.plan_cache_byte_budget,
+                  .device_queue_key = id,
+                  .metrics = metrics}) {
     wrr.weight = std::max<std::uint32_t>(1, options.weight);
   }
 
@@ -149,8 +151,25 @@ std::shared_ptr<TenantRouter::Tenant> TenantRouter::FindTenant(
 StatusOr<TenantRouter::RequestId> TenantRouter::Submit(
     const service::SessionKey& tenant_id, const QueryGraph& q,
     RequestOptions opts) {
-  std::shared_ptr<Tenant> t = FindTenant(tenant_id);
-  if (t == nullptr) return Status::NotFound("unknown tenant: " + tenant_id);
+  // Tenant lookup, shutdown check and a cheap admission pre-check in one
+  // sched_mu_ acquisition: a full queue rejects before paying for
+  // canonicalization (the authoritative check is the enqueue below).
+  std::shared_ptr<Tenant> t;
+  bool queue_full = false;
+  {
+    std::lock_guard<util::ProfiledMutex> lock(sched_mu_);
+    if (stopping_) return Status::FailedPrecondition("router is shut down");
+    auto it = tenants_.find(tenant_id);
+    if (it == tenants_.end()) {
+      return Status::NotFound("unknown tenant: " + tenant_id);
+    }
+    t = it->second;
+    queue_full = total_queued_ >= options_.queue_capacity;
+  }
+  if (queue_full) {
+    CountRejection(*t, /*quota=*/false);
+    return Status::ResourceExhausted("request queue full");
+  }
 
   auto req = std::make_shared<Request>();
   // A transport-started trace (anchored at frame receive, already carrying
@@ -169,11 +188,6 @@ StatusOr<TenantRouter::RequestId> TenantRouter::Submit(
   req->deadline_seconds = req->opts.deadline_seconds >= 0.0
                               ? req->opts.deadline_seconds
                               : options_.default_deadline_seconds;
-
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (shutdown_) return Status::FailedPrecondition("router is shut down");
-  }
   req->slot = std::make_shared<service::RequestLedger::Slot>();
   req->slot->on_complete = req->opts.on_complete;
   const RequestId id = ledger_.Add(req->slot);
@@ -189,7 +203,7 @@ StatusOr<TenantRouter::RequestId> TenantRouter::Submit(
       // Lost the race with RemoveTenant between lookup and enqueue.
       admit = Status::NotFound("unknown tenant: " + tenant_id);
     } else if (total_queued_ >= options_.queue_capacity) {
-      admit = Status::ResourceExhausted("router queue full");
+      admit = Status::ResourceExhausted("request queue full");
     } else if (t->opts.max_queued > 0 && t->queue.size() >= t->opts.max_queued) {
       admit = Status::ResourceExhausted("tenant quota exceeded: " + tenant_id);
       quota_reject = true;
@@ -204,30 +218,39 @@ StatusOr<TenantRouter::RequestId> TenantRouter::Submit(
       WrrActivate(active_, t);
     }
   }
-  if (!admit.ok()) ledger_.Forget(id);
+  if (!admit.ok()) {
+    ledger_.Forget(id);
+    if (admit.code() == StatusCode::kResourceExhausted) {
+      CountRejection(*t, quota_reject);
+    }
+    return admit;
+  }
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (!admit.ok()) {
-      if (admit.code() == StatusCode::kResourceExhausted) {
-        if (quota_reject) {
-          ++rejected_quota_;
-          ++t->rejected_quota;
-          obs_.OnRejectedQuota();
-        } else {
-          ++rejected_queue_full_;
-          ++t->rejected_queue_full;
-          obs_.OnRejectedQueueFull();
-        }
-      }
-    } else {
-      ++submitted_;  // counts admitted requests only
-      ++t->submitted;
-      obs_.OnSubmitted();
-    }
+    ++submitted_;  // counts admitted requests only
+    ++t->submitted;
   }
-  if (!admit.ok()) return admit;
+  obs_.OnSubmitted();
   sched_cv_.notify_one();
   return id;
+}
+
+void TenantRouter::CountRejection(Tenant& t, bool quota) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (quota) {
+      ++rejected_quota_;
+      ++t.rejected_quota;
+    } else {
+      ++rejected_queue_full_;
+      ++t.rejected_queue_full;
+    }
+  }
+  if (quota) {
+    obs_.OnRejectedQuota();
+  } else {
+    obs_.OnRejectedQueueFull();
+  }
 }
 
 StatusOr<RequestResult> TenantRouter::Wait(RequestId id) {
@@ -276,7 +299,13 @@ void TenantRouter::Shutdown() {
 
 std::shared_ptr<TenantRouter::Request> TenantRouter::PopNext() {
   std::unique_lock<util::ProfiledMutex> lock(sched_mu_);
-  sched_cv_.wait(lock, [&] { return stopping_ || total_queued_ > 0; });
+  if (!stopping_ && total_queued_ == 0) {
+    // An idle worker: the blocked wait is the workers-idle signal, charged
+    // to the pop-blocked counters once the wait ends.
+    Timer wait;
+    sched_cv_.wait(lock, [&] { return stopping_ || total_queued_ > 0; });
+    obs_.OnPopBlocked(static_cast<std::uint64_t>(wait.ElapsedNanos()));
+  }
   if (total_queued_ == 0) return nullptr;  // stopping and drained
   // Deficit-style weighted round robin over the backlogged tenants — the
   // shared discipline of util/wrr.h, also used by the device executor's

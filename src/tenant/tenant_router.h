@@ -15,17 +15,20 @@
 //                                    capture THAT tenant's snapshot,
 //                                    execute, per-tenant p50/p99 stats
 //
-// One MatchService per graph costs N worker pools and N uncoordinated
-// queues. TenantRouter hosts N graphs in one process: a registry of tenants
-// (each a GraphState — the same epoch-snapshotted graph + epoch-tagged plan
-// cache that MatchService uses, see service/graph_state.h) in front of a
-// single shared worker pool. Requests carry a tenant id; dispatch captures
-// that tenant's current snapshot, so per-tenant SwapGraph/ApplyDelta keep
-// working independently and a swap on tenant A is invisible to tenant B.
+// TenantRouter is the serving pool: a registry of tenants (each a
+// GraphState — an epoch-snapshotted graph + epoch-tagged plan cache, see
+// service/graph_state.h) in front of a single shared worker pool. It owns
+// the whole request lifecycle — admission, queueing, dispatch, outcome
+// classification, cost charging and delivery — for every frontend:
+// service::MatchService is this router holding exactly one tenant. Requests
+// carry a tenant id; dispatch captures that tenant's current snapshot, so
+// per-tenant SwapGraph/ApplyDelta keep working independently and a swap on
+// tenant A is invisible to tenant B.
 //
 // Admission and fairness:
 //   - a process-wide bound on the total queued requests (global admission
-//     control — RESOURCE_EXHAUSTED when the process is saturated);
+//     control — RESOURCE_EXHAUSTED when the process is saturated). A full
+//     queue is rejected before the query is canonicalized;
 //   - an optional per-tenant quota on queued requests, so one hot tenant
 //     cannot occupy the whole global queue;
 //   - deficit-style weighted round-robin dequeue: workers serve up to
@@ -40,9 +43,8 @@
 // tenant's state stays alive via shared_ptr until the last request drops
 // it); RemoveTenant returns once the tenant has no queued or in-flight work.
 //
-// Deadlines behave exactly as in MatchService: checked at dispatch, and
-// enforced mid-run via a cooperative cancellation token armed with the
-// remaining deadline.
+// Deadlines are checked at dispatch, and enforced mid-run via a cooperative
+// cancellation token armed with the remaining deadline.
 
 #include <condition_variable>
 #include <cstdint>
@@ -233,6 +235,9 @@ class TenantRouter : public service::Frontend {
   std::shared_ptr<Request> PopNext();
   void Finish(std::shared_ptr<Request> req, RequestResult result,
               std::uint64_t cpu_ns);
+  // Counts one admission rejection (quota or global queue full) on the
+  // router, the tenant and the registry.
+  void CountRejection(Tenant& t, bool quota);
   std::shared_ptr<Tenant> FindTenant(const std::string& id) const;
   static void FillTenantStats(const Tenant& t, TenantStats* out);
 

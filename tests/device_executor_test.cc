@@ -4,6 +4,7 @@
 // tenant's partition streams, mid-batch cancellation, and shutdown.
 
 #include <atomic>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -11,6 +12,7 @@
 
 #include "core/driver.h"
 #include "cst/cst.h"
+#include "cst/partition.h"
 #include "device/device_executor.h"
 #include "query/matching_order.h"
 #include "tests/test_util.h"
@@ -82,30 +84,60 @@ TEST(DeviceExecutorTest, DeviceRoutedRunMatchesInlineDriver) {
   EXPECT_GT(stats.wire_bytes, stats.payload_bytes);  // per-round DMA overhead
 }
 
+// Partitions RunCstOnDevice streams to the device for `plan`: Alg. 2 is
+// deterministic, so a dry run under the same config predicts them exactly.
+std::size_t PartitionCount(const Plan& plan, const DeviceOptions& opts,
+                           const FastRunOptions& run) {
+  const PartitionConfig pconfig = DerivePartitionConfig(
+      opts.fpga, plan.cst.layout().query().NumVertices(), run.partition);
+  auto parts = PartitionCstToVector(plan.cst, plan.order, pconfig);
+  FAST_CHECK(parts.ok());
+  return parts->size();
+}
+
+// Runs RunCstOnDevice for each queue key on its own thread, with rounds
+// held until every thread's partitions are queued, so all of them land in
+// the first round formed after the release — exact, not a race between the
+// submitters and a batch window. Returns the number of wrong results.
+int RunHeldThenReleased(DeviceExecutor& device, const Plan& plan,
+                        const FastRunOptions& run,
+                        const std::vector<std::string>& queue_keys,
+                        std::uint64_t expected_embeddings) {
+  const std::size_t parts = PartitionCount(plan, device.options(), run);
+  std::atomic<int> failures{0};
+  device.HoldRounds();
+  std::vector<std::thread> submitters;
+  for (const std::string& key : queue_keys) {
+    submitters.emplace_back([&, key] {
+      auto r = RunCstOnDevice(device, plan.cst, plan.order, run, key, 1,
+                              "paper-q");
+      if (!r.ok() || r->embeddings != expected_embeddings) failures.fetch_add(1);
+    });
+  }
+  while (device.queue_depth() < queue_keys.size() * parts) {
+    std::this_thread::yield();
+  }
+  device.ReleaseRounds();
+  for (auto& t : submitters) t.join();
+  return failures.load();
+}
+
 TEST(DeviceExecutorTest, BatchCoalescesConcurrentQueriesIntoOneRound) {
   const Graph g = PaperDataGraph();
   const QueryGraph q = PaperQuery();
   const Plan plan = BuildPlan(q, g);
 
   DeviceOptions opts = SmallDeviceOptions();
-  opts.batch_window_seconds = 0.2;  // generous: both submitters land inside
+  opts.batch_window_seconds = 0;  // the hold, not a window, gathers items
   opts.max_batch_items = 64;
   DeviceExecutor device(opts);
 
   FastRunOptions run;
   run.fpga = opts.fpga;
-  std::atomic<int> failures{0};
-  std::vector<std::thread> submitters;
-  for (int i = 0; i < 2; ++i) {
-    submitters.emplace_back([&, i] {
-      // Distinct tenants, same canonical plan: the batch must mix them.
-      auto r = RunCstOnDevice(device, plan.cst, plan.order, run,
-                              "t" + std::to_string(i), 1, "paper-q");
-      if (!r.ok() || r->embeddings != BruteForceCount(q, g)) failures.fetch_add(1);
-    });
-  }
-  for (auto& t : submitters) t.join();
-  EXPECT_EQ(failures.load(), 0);
+  // Distinct tenants, same canonical plan: the batch must mix them.
+  EXPECT_EQ(RunHeldThenReleased(device, plan, run, {"t0", "t1"},
+                                BruteForceCount(q, g)),
+            0);
 
   const DeviceStats stats = device.stats();
   EXPECT_EQ(stats.queries, 2u);
@@ -120,24 +152,16 @@ TEST(DeviceExecutorTest, IdenticalImagesInOneRoundTransferOnce) {
   const Plan plan = BuildPlan(q, g);
 
   DeviceOptions opts = SmallDeviceOptions();
-  opts.batch_window_seconds = 0.2;
+  opts.batch_window_seconds = 0;
   opts.max_batch_items = 64;
   DeviceExecutor device(opts);
 
   FastRunOptions run;
   run.fpga = opts.fpga;
-  std::atomic<int> failures{0};
-  std::vector<std::thread> submitters;
-  for (int i = 0; i < 2; ++i) {
-    submitters.emplace_back([&] {
-      // SAME tenant, epoch and plan key: bit-identical partition images.
-      auto r = RunCstOnDevice(device, plan.cst, plan.order, run, "t0", 1,
-                              "paper-q");
-      if (!r.ok() || r->embeddings != BruteForceCount(q, g)) failures.fetch_add(1);
-    });
-  }
-  for (auto& t : submitters) t.join();
-  EXPECT_EQ(failures.load(), 0);
+  // SAME tenant, epoch and plan key: bit-identical partition images.
+  EXPECT_EQ(RunHeldThenReleased(device, plan, run, {"t0", "t0"},
+                                BruteForceCount(q, g)),
+            0);
 
   const DeviceStats stats = device.stats();
   ASSERT_EQ(stats.rounds, 1u);

@@ -1,8 +1,7 @@
-// Tests for lock/queue contention accounting: ProfiledMutex exactness under
-// a multi-thread hammer, guaranteed-contended acquisition, Lockable /
-// condition_variable_any interop, the by-name SnapshotLockStats aggregation
-// (src/util/profiled_mutex.h), and BoundedQueue block counters + observer
-// (src/util/bounded_queue.h).
+// Tests for lock contention accounting: ProfiledMutex exactness under a
+// multi-thread hammer, guaranteed-contended acquisition, Lockable /
+// condition_variable_any interop, and the by-name SnapshotLockStats
+// aggregation (src/util/profiled_mutex.h).
 
 #include <atomic>
 #include <chrono>
@@ -14,7 +13,6 @@
 
 #include <gtest/gtest.h>
 
-#include "util/bounded_queue.h"
 #include "util/profiled_mutex.h"
 #include "util/timer.h"
 
@@ -163,80 +161,6 @@ TEST(ProfiledMutexTest, DestroyedInstanceLeavesRegistry) {
   for (const LockStats& r : SnapshotLockStats()) {
     EXPECT_NE(r.name, "temp_lock_name");
   }
-}
-
-TEST(BoundedQueueTest, PushBlockCountedAndObserved) {
-  BoundedQueue<int> q(/*capacity=*/1, "bq_push_test");
-  std::atomic<std::uint64_t> observed_push_ns{0};
-  std::atomic<int> observer_calls{0};
-  q.set_block_observer([&](bool is_push, std::uint64_t ns) {
-    EXPECT_TRUE(is_push);
-    observed_push_ns.fetch_add(ns);
-    observer_calls.fetch_add(1);
-  });
-  ASSERT_TRUE(q.TryPush(1));  // fills the queue; no block
-  std::thread producer([&] { EXPECT_TRUE(q.Push(2)); });
-  // pushes_blocked bumps BEFORE the wait: once visible, the producer is
-  // committed to blocking and a Pop is what releases it.
-  ASSERT_TRUE(WaitFor([&] { return q.Stats().pushes_blocked == 1; }));
-  EXPECT_EQ(q.Pop(), 1);
-  producer.join();
-  const BoundedQueueStats s = q.Stats();
-  EXPECT_EQ(s.pushes_blocked, 1u);
-  EXPECT_EQ(s.pops_blocked, 0u);
-  EXPECT_GT(s.push_block_ns, 0u);
-  EXPECT_EQ(s.total_block_ns(), s.push_block_ns);
-  EXPECT_EQ(observer_calls.load(), 1);
-  EXPECT_EQ(observed_push_ns.load(), s.push_block_ns);
-  EXPECT_EQ(q.Pop(), 2);
-}
-
-TEST(BoundedQueueTest, PopBlockCountedAndObserved) {
-  BoundedQueue<int> q(/*capacity=*/4, "bq_pop_test");
-  std::atomic<int> observer_pops{0};
-  q.set_block_observer([&](bool is_push, std::uint64_t ns) {
-    EXPECT_FALSE(is_push);
-    EXPECT_GT(ns, 0u);
-    observer_pops.fetch_add(1);
-  });
-  std::thread consumer([&] { EXPECT_EQ(q.Pop(), 7); });
-  ASSERT_TRUE(WaitFor([&] { return q.Stats().pops_blocked == 1; }));
-  ASSERT_TRUE(q.TryPush(7));
-  consumer.join();
-  const BoundedQueueStats s = q.Stats();
-  EXPECT_EQ(s.pops_blocked, 1u);
-  EXPECT_EQ(s.pushes_blocked, 0u);
-  EXPECT_GT(s.pop_block_ns, 0u);
-  EXPECT_EQ(observer_pops.load(), 1);
-}
-
-TEST(BoundedQueueTest, TryPushAndCloseNeverBlockOrCount) {
-  BoundedQueue<int> q(/*capacity=*/1);
-  ASSERT_TRUE(q.TryPush(1));
-  EXPECT_FALSE(q.TryPush(2));  // full: rejected, not blocked
-  q.Close();
-  EXPECT_FALSE(q.TryPush(3));  // closed
-  EXPECT_EQ(q.Pop(), 1);       // drains the backlog
-  EXPECT_FALSE(q.Pop().has_value());  // closed + empty: no block
-  const BoundedQueueStats s = q.Stats();
-  EXPECT_EQ(s.pushes_blocked, 0u);
-  EXPECT_EQ(s.pops_blocked, 0u);
-  EXPECT_EQ(s.total_block_ns(), 0u);
-}
-
-TEST(BoundedQueueTest, NamedQueueLockAggregatesInRegistry) {
-  BoundedQueue<int> q(/*capacity=*/8, "bq_named_lock");
-  ASSERT_TRUE(q.TryPush(1));
-  EXPECT_EQ(q.Pop(), 1);
-  EXPECT_GE(q.LockStats().acquisitions, 2u);
-  bool found = false;
-  for (const LockStats& r : SnapshotLockStats()) {
-    if (r.name == "bq_named_lock") {
-      found = true;
-      EXPECT_GE(r.acquisitions, 2u);
-    }
-  }
-  EXPECT_TRUE(found);
 }
 
 }  // namespace

@@ -14,7 +14,6 @@
 #include "service/plan_cache.h"
 #include "service/query_signature.h"
 #include "tests/test_util.h"
-#include "util/bounded_queue.h"
 #include "util/latency_histogram.h"
 
 namespace fast {
@@ -629,11 +628,16 @@ TEST(MatchServiceTest, FullQueueRejectsSubmit) {
   auto rejected = svc.Submit(PathQuery());
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), StatusCode::kResourceExhausted);
+  // The full-queue check runs before canonicalization: a malformed query is
+  // rejected for capacity, not validated.
+  auto malformed = svc.Submit(QueryGraph());
+  ASSERT_FALSE(malformed.ok());
+  EXPECT_EQ(malformed.status().code(), StatusCode::kResourceExhausted);
 
   release.store(true);
   EXPECT_TRUE(svc.Wait(*blocker)->status.ok());
   EXPECT_TRUE(svc.Wait(*queued)->status.ok());
-  EXPECT_EQ(svc.stats().rejected_queue_full, 1u);
+  EXPECT_EQ(svc.stats().rejected_queue_full, 2u);
 }
 
 TEST(MatchServiceTest, ShutdownDrainsBacklogAndRejectsNewWork) {
@@ -687,47 +691,6 @@ TEST(LatencyHistogramTest, MergeEqualsCombinedRecording) {
   EXPECT_DOUBLE_EQ(a.P50(), combined.P50());
   EXPECT_DOUBLE_EQ(a.P99(), combined.P99());
   EXPECT_DOUBLE_EQ(a.sum_seconds(), combined.sum_seconds());
-}
-
-TEST(BoundedQueueTest, TryPushRespectsCapacityAndClose) {
-  BoundedQueue<int> q(2);
-  EXPECT_TRUE(q.TryPush(1));
-  EXPECT_TRUE(q.TryPush(2));
-  EXPECT_FALSE(q.TryPush(3));  // full
-  q.Close();
-  EXPECT_FALSE(q.TryPush(4));  // closed
-  // Drains the backlog, then reports closed.
-  EXPECT_EQ(q.Pop().value(), 1);
-  EXPECT_EQ(q.Pop().value(), 2);
-  EXPECT_FALSE(q.Pop().has_value());
-}
-
-TEST(BoundedQueueTest, ConcurrentProducersConsumers) {
-  BoundedQueue<int> q(8);
-  constexpr int kPerProducer = 500;
-  constexpr int kProducers = 4;
-  std::atomic<int> sum{0};
-  std::atomic<int> popped{0};
-  std::vector<std::thread> consumers;
-  for (int i = 0; i < 3; ++i) {
-    consumers.emplace_back([&] {
-      while (auto v = q.Pop()) {
-        sum.fetch_add(*v);
-        popped.fetch_add(1);
-      }
-    });
-  }
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&] {
-      for (int i = 1; i <= kPerProducer; ++i) ASSERT_TRUE(q.Push(i));
-    });
-  }
-  for (auto& t : producers) t.join();
-  q.Close();
-  for (auto& t : consumers) t.join();
-  EXPECT_EQ(popped.load(), kProducers * kPerProducer);
-  EXPECT_EQ(sum.load(), kProducers * (kPerProducer * (kPerProducer + 1) / 2));
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/graph_delta.h"
+#include "obs/metrics.h"
 #include "tenant/tenant_router.h"
 #include "tests/test_util.h"
 
@@ -230,8 +231,10 @@ TEST(TenantRouterTest, PerTenantQuotaRejectsWithoutStarvingOthers) {
 }
 
 TEST(TenantRouterTest, GlobalQueueCapacityRejects) {
+  obs::MetricsRegistry registry;
   RouterOptions options = SmallRouterOptions(1);
   options.queue_capacity = 2;
+  options.metrics = &registry;
   TenantRouter router(options);
   ASSERT_TRUE(router.AddTenant("a", PaperDataGraph()).ok());
   ASSERT_TRUE(router.AddTenant("b", PaperDataGraph()).ok());
@@ -256,6 +259,11 @@ TEST(TenantRouterTest, GlobalQueueCapacityRejects) {
   auto rejected = router.Submit("b", TriangleQuery());
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), StatusCode::kResourceExhausted);
+  // The full-queue check runs before canonicalization: a malformed query is
+  // rejected for capacity, not validated.
+  auto malformed = router.Submit("b", QueryGraph());
+  ASSERT_FALSE(malformed.ok());
+  EXPECT_EQ(malformed.status().code(), StatusCode::kResourceExhausted);
 
   release.store(true);
   EXPECT_TRUE(router.Wait(*blocker)->status.ok());
@@ -263,10 +271,26 @@ TEST(TenantRouterTest, GlobalQueueCapacityRejects) {
   EXPECT_TRUE(router.Wait(*q2)->status.ok());
 
   const auto stats = router.stats();
-  EXPECT_EQ(stats.rejected_queue_full, 1u);
+  EXPECT_EQ(stats.rejected_queue_full, 2u);
   auto tb = router.tenant_stats("b");
   ASSERT_TRUE(tb.ok());
-  EXPECT_EQ(tb->rejected_queue_full, 1u);
+  EXPECT_EQ(tb->rejected_queue_full, 2u);
+
+  // An idle worker that then picks up a request charges its blocked wait to
+  // the pop-blocked counters. The lone worker goes idle asynchronously after
+  // its last delivery, so each retry first gives it a moment to get there.
+  auto counter = [&](const char* name) -> std::uint64_t {
+    for (const auto& c : registry.Snapshot().counters) {
+      if (c.name == name) return c.value;
+    }
+    return 0;
+  };
+  for (int i = 0; i < 200 && counter("fast_queue_pops_blocked_total") == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_TRUE(router.SubmitAndWait("a", PaperQuery()).ok());
+  }
+  EXPECT_GT(counter("fast_queue_pops_blocked_total"), 0u);
+  EXPECT_GT(counter("fast_queue_pop_block_ns_total"), 0u);
 }
 
 TEST(TenantRouterTest, WeightedRoundRobinHonorsWeights) {
