@@ -163,6 +163,18 @@ TEST(RequestObsTest, SlowRequestsAreLoggedCountedAndRetained) {
   EXPECT_EQ(reg.GetCounter("fast_slow_requests_total")->Value(), 1u);
 }
 
+TEST(RequestObsTest, PopBlockedFeedsQueueCounters) {
+  MetricsRegistry reg;
+  RequestObs obs(RequestObs::Options{&reg, /*tracing=*/false, 0.0, 8});
+  obs.OnPopBlocked(100);
+  obs.OnPopBlocked(250);
+  EXPECT_EQ(reg.GetCounter("fast_queue_pops_blocked_total")->Value(), 2u);
+  EXPECT_EQ(reg.GetCounter("fast_queue_pop_block_ns_total")->Value(), 350u);
+  // Without a registry the call is a no-op.
+  RequestObs bare(RequestObs::Options{nullptr, /*tracing=*/false, 0.0, 8});
+  bare.OnPopBlocked(100);
+}
+
 service::ServiceOptions TracedServiceOptions() {
   service::ServiceOptions options;
   options.num_workers = 2;

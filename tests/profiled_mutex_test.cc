@@ -1,7 +1,8 @@
 // Tests for lock contention accounting: ProfiledMutex exactness under a
 // multi-thread hammer, guaranteed-contended acquisition, Lockable /
 // condition_variable_any interop, and the by-name SnapshotLockStats
-// aggregation (src/util/profiled_mutex.h).
+// aggregation (src/util/profiled_mutex.h), including the serving pool's
+// named scheduler lock.
 
 #include <atomic>
 #include <chrono>
@@ -13,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include "service/match_service.h"
+#include "tests/test_util.h"
 #include "util/profiled_mutex.h"
 #include "util/timer.h"
 
@@ -160,6 +163,30 @@ TEST(ProfiledMutexTest, DestroyedInstanceLeavesRegistry) {
   }
   for (const LockStats& r : SnapshotLockStats()) {
     EXPECT_NE(r.name, "temp_lock_name");
+  }
+}
+
+// The router's scheduler lock is a named ProfiledMutex: one served request
+// (admission pre-check, enqueue, worker pop) shows up under "router_sched",
+// and the row leaves the registry with the service.
+TEST(ProfiledMutexTest, RouterSchedLockAggregatesInRegistry) {
+  auto sched_acquisitions = [] {
+    for (const LockStats& r : SnapshotLockStats()) {
+      if (r.name == "router_sched") return r.acquisitions;
+    }
+    return std::uint64_t{0};
+  };
+  {
+    service::ServiceOptions options;
+    options.num_workers = 1;
+    service::MatchService svc(testing::PaperDataGraph(), options);
+    const std::uint64_t before = sched_acquisitions();
+    EXPECT_GT(before, 0u);  // AddTenant registered the graph under it
+    ASSERT_TRUE(svc.SubmitAndWait(testing::PaperQuery()).ok());
+    EXPECT_GE(sched_acquisitions(), before + 3);
+  }
+  for (const LockStats& r : SnapshotLockStats()) {
+    EXPECT_NE(r.name, "router_sched");
   }
 }
 

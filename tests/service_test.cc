@@ -4,12 +4,16 @@
 
 #include <atomic>
 #include <chrono>
+#include <map>
+#include <mutex>
 #include <set>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "obs/accounting.h"
+#include "obs/metrics.h"
 #include "service/match_service.h"
 #include "service/plan_cache.h"
 #include "service/query_signature.h"
@@ -664,6 +668,123 @@ TEST(MatchServiceTest, WaitTwiceReturnsNotFound) {
   // Double Wait: the NOT_FOUND is on the OUTER StatusOr, so it can never
   // be mistaken for an execution outcome.
   EXPECT_EQ(svc.Wait(*id).status().code(), StatusCode::kNotFound);
+}
+
+// Callback-mode delivery under concurrent producers and a small queue: every
+// admitted request's on_complete fires exactly once with the right count, its
+// id is never waitable, and each RESOURCE_EXHAUSTED a producer retries
+// through is counted as exactly one queue-full rejection.
+TEST(MatchServiceTest, ConcurrentCallbackSubmittersDeliverEachResultOnce) {
+  const Graph g = PaperDataGraph();
+  const std::vector<QueryGraph> mix = {PaperQuery(), TriangleQuery(), PathQuery()};
+  std::vector<std::uint64_t> expected;
+  for (const auto& q : mix) expected.push_back(BruteForceCount(q, g));
+
+  ServiceOptions options = SmallServiceOptions(3);
+  options.queue_capacity = 8;
+  MatchService svc(g, options);
+  constexpr int kProducers = 4;
+  constexpr int kPerProducer = 100;
+  std::mutex mu;
+  std::map<std::uint64_t, int> deliveries;
+  std::atomic<int> mismatches{0};
+  std::atomic<std::uint64_t> full_rejections{0};
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      for (int i = 0; i < kPerProducer; ++i) {
+        const std::size_t qi = static_cast<std::size_t>(p + i) % mix.size();
+        RequestOptions opts;
+        opts.on_complete = [&, qi](std::uint64_t id,
+                                   const service::RequestResult& r) {
+          if (!r.status.ok() || r.run.embeddings != expected[qi]) {
+            mismatches.fetch_add(1);
+          }
+          std::lock_guard<std::mutex> lock(mu);
+          ++deliveries[id];
+        };
+        while (true) {
+          auto id = svc.Submit(mix[qi], opts);
+          if (id.ok()) {
+            EXPECT_EQ(svc.Wait(*id).status().code(), StatusCode::kNotFound);
+            break;
+          }
+          ASSERT_EQ(id.status().code(), StatusCode::kResourceExhausted);
+          full_rejections.fetch_add(1);
+          std::this_thread::yield();
+        }
+      }
+    });
+  }
+  for (auto& t : producers) t.join();
+  svc.Shutdown();  // drains the backlog: every callback has run
+
+  constexpr std::uint64_t kTotal = kProducers * kPerProducer;
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(deliveries.size(), kTotal);
+  for (const auto& [id, n] : deliveries) EXPECT_EQ(n, 1) << "request " << id;
+  const auto stats = svc.stats();
+  EXPECT_EQ(stats.submitted, kTotal);
+  EXPECT_EQ(stats.completed, kTotal);
+  EXPECT_EQ(stats.rejected_queue_full, full_rejections.load());
+}
+
+// A malformed query fails validation at Submit: it is neither admitted nor
+// counted as a rejection, and the service keeps serving.
+TEST(MatchServiceTest, MalformedQueryRejectedBeforeAdmission) {
+  MatchService svc(PaperDataGraph(), SmallServiceOptions(1));
+  auto bad = svc.Submit(QueryGraph());
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(svc.queue_depth(), 0u);
+
+  ASSERT_TRUE(svc.SubmitAndWait(PaperQuery()).ok());
+  const auto stats = svc.stats();
+  EXPECT_EQ(stats.submitted, 1u);
+  EXPECT_EQ(stats.completed, 1u);
+  EXPECT_EQ(stats.failed, 0u);
+  EXPECT_EQ(stats.rejected_queue_full, 0u);
+}
+
+// The one tenant has the empty id: traces carry tenant_id "" and every
+// request is charged to the default account.
+TEST(MatchServiceTest, RequestsAreChargedToTheDefaultTenant) {
+  obs::MetricsRegistry reg;
+  ServiceOptions options = SmallServiceOptions(1);
+  options.metrics = &reg;
+  options.tracing = true;
+  MatchService svc(PaperDataGraph(), options);
+  auto r = svc.SubmitAndWait(PaperQuery());
+  ASSERT_TRUE(r.ok()) << r.status();
+  ASSERT_NE(r->trace, nullptr);
+  EXPECT_EQ(r->trace->tenant_id, "");
+
+  const auto accounts = svc.request_obs()->accounts().Snapshot();
+  ASSERT_EQ(accounts.size(), 1u);
+  EXPECT_EQ(accounts[0].tenant, obs::kDefaultAccount);
+  EXPECT_EQ(accounts[0].requests, 1u);
+  EXPECT_EQ(accounts[0].errors, 0u);
+  EXPECT_EQ(reg.GetCounter("fast_requests_completed_total")->Value(), 1u);
+}
+
+// The service's registry sees the worker pool's idle waits: a worker that
+// blocks on the empty queue and then picks up a request charges the wait to
+// the pop-blocked counters.
+TEST(MatchServiceTest, IdleWorkerPopWaitReachesRegistry) {
+  obs::MetricsRegistry reg;
+  ServiceOptions options = SmallServiceOptions(1);
+  options.metrics = &reg;
+  MatchService svc(PaperDataGraph(), options);
+  obs::Counter* pops = reg.GetCounter("fast_queue_pops_blocked_total");
+  obs::Counter* pop_ns = reg.GetCounter("fast_queue_pop_block_ns_total");
+  // The lone worker goes idle asynchronously (at start and after each
+  // delivery), so each retry first gives it a moment to get there.
+  for (int i = 0; i < 200 && pops->Value() == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_TRUE(svc.SubmitAndWait(PaperQuery()).ok());
+  }
+  EXPECT_GT(pops->Value(), 0u);
+  EXPECT_GT(pop_ns->Value(), 0u);
 }
 
 // ---- Supporting utilities. ----

@@ -293,6 +293,51 @@ TEST(TenantRouterTest, GlobalQueueCapacityRejects) {
   EXPECT_GT(counter("fast_queue_pop_block_ns_total"), 0u);
 }
 
+// Submit checks shutdown and the tenant id before the queue bound: while the
+// queue is full an unknown tenant is NOT_FOUND, after Shutdown every Submit
+// is FAILED_PRECONDITION, and neither counts as a queue-full rejection.
+TEST(TenantRouterTest, UnknownTenantAndShutdownAreNotCountedAsQueueFull) {
+  RouterOptions options = SmallRouterOptions(1);
+  options.queue_capacity = 1;
+  TenantRouter router(options);
+  ASSERT_TRUE(router.AddTenant("a", PaperDataGraph()).ok());
+
+  std::atomic<bool> started{false};
+  std::atomic<bool> release{false};
+  RequestOptions blocker_opts;
+  blocker_opts.on_embedding = [&](std::span<const VertexId>) {
+    started.store(true);
+    while (!release.load()) std::this_thread::yield();
+  };
+  auto blocker = router.Submit("a", PaperQuery(), blocker_opts);
+  ASSERT_TRUE(blocker.ok());
+  while (!started.load()) std::this_thread::yield();
+
+  auto queued = router.Submit("a", PaperQuery());
+  ASSERT_TRUE(queued.ok());
+  EXPECT_EQ(router.Submit("a", TriangleQuery()).status().code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_EQ(router.Submit("nope", TriangleQuery()).status().code(),
+            StatusCode::kNotFound);
+
+  release.store(true);
+  EXPECT_TRUE(router.Wait(*blocker)->status.ok());
+  EXPECT_TRUE(router.Wait(*queued)->status.ok());
+  router.Shutdown();
+  EXPECT_EQ(router.Submit("a", PaperQuery()).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(router.Submit("nope", PaperQuery()).status().code(),
+            StatusCode::kFailedPrecondition);
+
+  const auto stats = router.stats();
+  EXPECT_EQ(stats.submitted, 2u);
+  EXPECT_EQ(stats.completed, 2u);
+  EXPECT_EQ(stats.rejected_queue_full, 1u);
+  auto ta = router.tenant_stats("a");
+  ASSERT_TRUE(ta.ok());
+  EXPECT_EQ(ta->rejected_queue_full, 1u);
+}
+
 TEST(TenantRouterTest, WeightedRoundRobinHonorsWeights) {
   TenantRouter router(SmallRouterOptions(1));
   TenantOptions weight2;
