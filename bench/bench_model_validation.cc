@@ -1,11 +1,13 @@
 // Model-validation ablation: the paper's closed-form cycle model (Eqs. 1-4)
-// versus the cycle-stepped pipeline simulation (fpga/pipeline_sim.h) on real
-// kernel traces.
+// over whole-run counters versus the per-round pipeline timing
+// (fpga/pipeline_sim.h) on real kernel traces.
 //
-// The closed forms drop pipeline fill, FIFO behaviour and the unpipelined
-// t_n-generation outer loop; this bench quantifies how much that idealization
-// costs per query and per variant (sim/analytic ratio ~1 validates using the
-// analytic model everywhere else in the repository).
+// The whole-run closed forms drop per-round pipeline fill and the unpipelined
+// t_n-generation outer loop; the per-round timing keeps both (the pipeline
+// itself never stalls, so FIFO depth does not enter). This bench quantifies
+// how much that idealization costs per query and per variant (sim/analytic
+// ratio ~1 validates using the analytic model everywhere else in the
+// repository).
 
 #include <benchmark/benchmark.h>
 

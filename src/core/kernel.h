@@ -38,8 +38,8 @@ struct KernelRunResult {
 // `order` must be a tree-connected matching order whose root equals the CST's
 // BFS-tree root. Results are reported to `collector` (may be null to count
 // only within the returned counters). When `round_trace` is non-null, one
-// RoundWork entry is appended per Generator round, suitable for the
-// cycle-stepped pipeline simulation (fpga/pipeline_sim.h). A non-null
+// RoundWork entry is appended per Generator round, the input of the per-round
+// pipeline timing (fpga/pipeline_sim.h). A non-null
 // `cancel` token is probed once per Generator round; a tripped token aborts
 // the run with DEADLINE_EXCEEDED (partial counters are discarded).
 StatusOr<KernelRunResult> RunKernel(const Cst& cst, const MatchingOrder& order,

@@ -355,25 +355,18 @@ void DeviceExecutor::RunRound(std::vector<WorkItem> round) {
     } else {
       trace.clear();
       StatusOr<KernelRunResult> r =
-          RunKernel(item.cst, q.order, fpga, q.collector,
-                    options_.cycle_sim ? &trace : nullptr, q.cancel);
+          RunKernel(item.cst, q.order, fpga, q.collector, &trace, q.cancel);
       if (!r.ok()) {
         item_status = r.status();
       } else {
         run = std::move(*r);
-        double cycles = 0.0;
-        if (options_.cycle_sim) {
-          StatusOr<PipelineSimResult> sim =
-              SimulatePipeline(fpga, options_.variant, trace, q.cancel);
-          if (!sim.ok()) {
-            item_status = sim.status();
-          } else {
-            cycles = sim->cycles;
-          }
+        // Matching-phase cycles: per-round pipeline timing over the trace.
+        StatusOr<PipelineSimResult> sim =
+            SimulatePipeline(fpga, options_.variant, trace, q.cancel);
+        if (!sim.ok()) {
+          item_status = sim.status();
         } else {
-          cycles = KernelCycles(fpga, options_.variant, run.counters);
-        }
-        if (item_status.ok()) {
+          double cycles = sim->cycles;
           cycles += ResultFlushCycles(fpga, run.embeddings,
                                       item.cst.NumQueryVertices());
           if (options_.variant != FastVariant::kDram) {

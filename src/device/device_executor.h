@@ -99,15 +99,9 @@ struct DeviceOptions {
   // the quantity batching amortizes.
   std::size_t transfer_overhead_bytes = 64 * 1024;
 
-  // Matching-phase cycles per item: true = cycle-stepped pipeline simulation
-  // over the recorded round trace (fpga/pipeline_sim.h), false = the closed
-  // forms (Eqs. 1-4). The simulation is slower but sees FIFO back-pressure.
-  bool cycle_sim = true;
-
   // Process-wide metrics registry the executor reports into
   // (fast_device_* counters, queue-depth/occupancy gauges). Non-owning; must
-  // outlive the executor. nullptr = no registry reporting. NOTE: appended
-  // last — existing call sites brace-initialize this struct positionally.
+  // outlive the executor. nullptr = no registry reporting.
   obs::MetricsRegistry* metrics = nullptr;
 };
 

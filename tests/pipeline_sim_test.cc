@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <string>
+
 #include "core/kernel.h"
 #include "cst/cst.h"
+#include "pipeline_sim_oracle.h"
 #include "query/matching_order.h"
 #include "test_util.h"
 
@@ -13,6 +17,7 @@ namespace {
 using testing::PaperDataGraph;
 using testing::PaperQuery;
 using testing::SmallLdbcGraph;
+using testing::oracle::SteppedSimulatePipeline;
 
 std::vector<RoundWork> UniformRounds(std::size_t n_rounds, std::uint32_t p,
                                      std::uint16_t groups) {
@@ -221,6 +226,123 @@ TEST(PipelineSimTest, PaperExampleTrace) {
   ASSERT_FALSE(trace.empty());
   auto sim = SimulatePipeline(FpgaConfig{}, FastVariant::kSep, trace).value();
   EXPECT_GT(sim.cycles, 0.0);
+}
+
+// ---- Closed form vs the cycle-stepped oracle (pipeline_sim_oracle.h). ----
+
+constexpr FastVariant kAllVariants[] = {FastVariant::kDram, FastVariant::kBasic,
+                                        FastVariant::kTask, FastVariant::kSep};
+
+::testing::AssertionResult MatchesOracle(const FpgaConfig& c, FastVariant v,
+                                         std::span<const RoundWork> rounds) {
+  const PipelineSimResult got = SimulatePipeline(c, v, rounds).value();
+  const PipelineSimResult want = SteppedSimulatePipeline(c, v, rounds);
+  if (got.cycles == want.cycles && got.stall_cycles == want.stall_cycles &&
+      got.tv_fifo_high_water == want.tv_fifo_high_water &&
+      got.tn_fifo_high_water == want.tn_fifo_high_water) {
+    return ::testing::AssertionSuccess();
+  }
+  std::string rs;
+  for (const RoundWork& r : rounds) {
+    rs += " (" + std::to_string(r.new_partials) + "," +
+          std::to_string(r.backward_groups) + ")";
+  }
+  return ::testing::AssertionFailure()
+         << FastVariantName(v) << " L1..L6=" << c.l1_read_buffer << ","
+         << c.l2_generate << "," << c.l3_visited_validate << "," << c.l4_collect
+         << "," << c.l5_generate_edge_task << "," << c.l6_edge_validate
+         << " dram=" << c.dram_read_latency << " depth=" << c.fifo_depth
+         << " rounds" << rs << ": cycles " << got.cycles << " vs " << want.cycles
+         << ", stalls " << got.stall_cycles << " vs " << want.stall_cycles
+         << ", tv_hw " << got.tv_fifo_high_water << " vs "
+         << want.tv_fifo_high_water << ", tn_hw " << got.tn_fifo_high_water
+         << " vs " << want.tn_fifo_high_water;
+}
+
+// A valid config with L1..L6 in [0, 9] and a FIFO depth from 1 to 1024.
+FpgaConfig RandomConfig(std::mt19937_64& rng) {
+  constexpr std::uint32_t kDepths[] = {1, 2, 3, 4, 8, 64, 1024};
+  std::uniform_int_distribution<std::uint32_t> lat(0, 9);
+  std::uniform_int_distribution<std::size_t> depth(0, std::size(kDepths) - 1);
+  FpgaConfig c;
+  do {
+    c.l1_read_buffer = lat(rng);
+    c.l2_generate = lat(rng);
+    c.l3_visited_validate = lat(rng);
+    c.l4_collect = lat(rng);
+    c.l5_generate_edge_task = lat(rng);
+    c.l6_edge_validate = lat(rng);
+  } while (c.Lf() == 0 || c.Lt() == 0);
+  c.dram_read_latency = 1 + lat(rng);
+  c.fifo_depth = kDepths[depth(rng)];
+  return c;
+}
+
+// p in [0, 4096]: the bit width is drawn first so that small rounds (the
+// fill-dominated edge cases) are as common as full N_o batches.
+RoundWork RandomRound(std::mt19937_64& rng) {
+  const int bits = std::uniform_int_distribution<int>(0, 12)(rng);
+  const std::uint32_t p = std::uniform_int_distribution<std::uint32_t>(
+      0, std::uint32_t{1} << bits)(rng);
+  const auto groups =
+      static_cast<std::uint16_t>(std::uniform_int_distribution<int>(0, 12)(rng));
+  return RoundWork{p, groups};
+}
+
+TEST(PipelineSimTest, ClosedFormMatchesSteppedOracleOnRandomRounds) {
+  std::mt19937_64 rng(20210419);
+  constexpr int kConfigs = 100000;
+  for (int i = 0; i < kConfigs; ++i) {
+    const FpgaConfig c = RandomConfig(rng);
+    const RoundWork round = RandomRound(rng);
+    for (FastVariant v : kAllVariants) {
+      ASSERT_TRUE(MatchesOracle(c, v, {&round, 1})) << "config #" << i;
+    }
+  }
+}
+
+TEST(PipelineSimTest, ClosedFormMatchesSteppedOracleOnMultiRoundTraces) {
+  std::mt19937_64 rng(7);
+  for (int i = 0; i < 2000; ++i) {
+    const FpgaConfig c = RandomConfig(rng);
+    std::vector<RoundWork> rounds(
+        std::uniform_int_distribution<std::size_t>(1, 8)(rng));
+    for (RoundWork& r : rounds) r = RandomRound(rng);
+    for (FastVariant v : kAllVariants) {
+      ASSERT_TRUE(MatchesOracle(c, v, rounds)) << "trace #" << i;
+    }
+  }
+}
+
+TEST(PipelineSimTest, ClosedFormMatchesSteppedOracleOnKernelTrace) {
+  Graph g = SmallLdbcGraph(0.2);
+  QueryGraph q = LdbcQuery(2).value();
+  auto order = ComputeMatchingOrder(q, g, OrderPolicy::kPathBased).value();
+  Cst cst = BuildCst(q, g, order.root).value();
+  for (std::uint32_t n_o : {3u, 64u, 4096u}) {
+    FpgaConfig c;
+    c.max_new_partials = n_o;
+    std::vector<RoundWork> trace;
+    ASSERT_TRUE(RunKernel(cst, order, c, nullptr, &trace).ok());
+    for (FastVariant v : kAllVariants) {
+      EXPECT_TRUE(MatchesOracle(c, v, trace)) << "N_o=" << n_o;
+    }
+  }
+}
+
+TEST(PipelineSimTest, SingleSlotFifosNeverStall) {
+  // Every stage moves at most one token per cycle, so even depth-1 FIFOs
+  // never fill up behind a slower consumer.
+  FpgaConfig c;
+  c.fifo_depth = 1;
+  const auto rounds = UniformRounds(16, 1024, 3);
+  for (FastVariant v : {FastVariant::kTask, FastVariant::kSep}) {
+    const auto r = SimulatePipeline(c, v, rounds).value();
+    EXPECT_EQ(r.stall_cycles, 0.0) << FastVariantName(v);
+    EXPECT_EQ(r.tv_fifo_high_water, 1u) << FastVariantName(v);
+    EXPECT_EQ(r.tn_fifo_high_water, 1u) << FastVariantName(v);
+    EXPECT_TRUE(MatchesOracle(c, v, rounds));
+  }
 }
 
 }  // namespace
