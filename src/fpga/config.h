@@ -57,7 +57,9 @@ struct FpgaConfig {
   std::uint32_t l5_generate_edge_task = 1;
   std::uint32_t l6_edge_validate = 1;
 
-  // Depth of inter-module FIFOs in the task-parallel variants.
+  // Depth of inter-module FIFOs in the task-parallel variants. The pipelines
+  // never stall at any depth >= 1 (fpga/pipeline_sim.h), so it does not
+  // enter the timing.
   std::uint32_t fifo_depth = 1024;
 
   // L_f = L1+L2+L3+L4 and L_t = L5+L6 of the cycle equations.
