@@ -26,14 +26,107 @@ PartitionConfig DerivePartitionConfig(const FpgaConfig& fpga, std::size_t query_
   return config;
 }
 
-StatusOr<FastRunResult> RunFast(const QueryGraph& q, const Graph& g,
-                                const FastRunOptions& options) {
-  // Reject invalid configs before paying for order computation and CST
-  // construction (RunFastWithCst re-checks for its direct callers).
+namespace {
+
+Status ValidateRunOptions(const FastRunOptions& options) {
   FAST_RETURN_IF_ERROR(options.fpga.Validate());
   if (options.cpu_share_delta < 0.0 || options.cpu_share_delta >= 1.0) {
     return Status::InvalidArgument("cpu_share_delta must be in [0, 1)");
   }
+  return Status::OK();
+}
+
+// Steps (3)-(6) on the calling thread, over partitions from either source:
+// Alg. 2 as it emits them (the miss path) or a compiled plan (the hit path).
+// Both feed the same per-partition code, so a replayed plan reproduces the
+// recording run's counters and simulated seconds bit for bit.
+class InlineRun {
+ public:
+  InlineRun(const FastRunOptions& options, const MatchingOrder& order,
+            double build_seconds)
+      : options_(options),
+        collector_(options.store_limit),
+        // One wall `match` span covers partitioning, simulated-device
+        // matching and the CPU share: host time, as opposed to the
+        // simulated dma/kernel durations recorded in Finish.
+        match_span_(options.trace, obs::Span::kMatch) {
+    result_.order = order;
+    result_.build_seconds = build_seconds;
+    if (options.embedding_callback) {
+      collector_.SetCallback(options.embedding_callback);
+    }
+  }
+
+  // (3)+(4): one partition crosses PCIe and runs through the kernel.
+  Status MatchOnCard(const Cst& part, std::size_t wire_bytes) {
+    KernelRunResult run;
+    {
+      // Same stage name as the device executor's, so profiles attribute
+      // inline kernel time below serve;match (serve;match;partition on a
+      // plan miss, where Alg. 2's sink runs it).
+      FAST_PROF_STAGE("kernel");
+      FAST_ASSIGN_OR_RETURN(run, RunKernel(part, result_.order, options_.fpga,
+                                           &collector_, /*round_trace=*/nullptr,
+                                           options_.cancel));
+    }
+    result_.counters += run.counters;
+    result_.embeddings += run.embeddings;
+    result_.kernel_seconds +=
+        SimulatedKernelSeconds(options_.fpga, options_.variant, run,
+                               part.SizeWords(), part.NumQueryVertices());
+    result_.dma_bytes += wire_bytes;
+    result_.pcie_seconds +=
+        options_.fpga.PcieSeconds(static_cast<double>(wire_bytes));
+    ++result_.fpga_partitions;
+    return Status::OK();
+  }
+
+  void set_partition_seconds(double s) { result_.partition_seconds = s; }
+
+  // (5) the CPU share, which runs after partitioning completes (Sec. V-C),
+  // then (6) composition: the card overlaps host partitioning; the CPU share
+  // extends the host path.
+  StatusOr<FastRunResult> Finish(const CompiledPlan& plan) {
+    result_.partition_stats = plan.partition_stats;
+    Timer share_timer;
+    for (const auto& part : plan.cpu) {
+      FAST_ASSIGN_OR_RETURN(std::uint64_t found,
+                            MatchCstOnCpu(*part, result_.order, &collector_,
+                                          options_.cancel));
+      result_.embeddings += found;
+    }
+    result_.cpu_partitions = plan.cpu.size();
+    result_.cpu_share_seconds =
+        plan.cpu.empty() ? 0.0 : share_timer.ElapsedSeconds();
+    const double w_total = plan.w_cpu + plan.w_fpga;
+    result_.cpu_share_fraction = w_total > 0.0 ? plan.w_cpu / w_total : 0.0;
+
+    if (options_.trace != nullptr) {
+      options_.trace->RecordSimulated(obs::Span::kDma, result_.pcie_seconds);
+      options_.trace->RecordSimulated(obs::Span::kKernel, result_.kernel_seconds);
+    }
+    result_.total_seconds =
+        result_.build_seconds +
+        std::max(result_.partition_seconds + result_.cpu_share_seconds,
+                 result_.pcie_seconds + result_.kernel_seconds);
+    result_.sample_embeddings = collector_.stored();
+    return std::move(result_);
+  }
+
+ private:
+  const FastRunOptions& options_;
+  ResultCollector collector_;
+  obs::ScopedSpan match_span_;
+  FastRunResult result_;
+};
+
+}  // namespace
+
+StatusOr<FastRunResult> RunFast(const QueryGraph& q, const Graph& g,
+                                const FastRunOptions& options) {
+  // Reject invalid configs before paying for order computation and CST
+  // construction (RunFastWithCst re-checks for its direct callers).
+  FAST_RETURN_IF_ERROR(ValidateRunOptions(options));
 
   // --- Matching order. ---
   MatchingOrder order;
@@ -57,136 +150,79 @@ StatusOr<FastRunResult> RunFast(const QueryGraph& q, const Graph& g,
 
 StatusOr<FastRunResult> RunFastWithCst(const Cst& cst, const MatchingOrder& order,
                                        const FastRunOptions& options,
-                                       double build_seconds) {
-  FAST_RETURN_IF_ERROR(options.fpga.Validate());
-  if (options.cpu_share_delta < 0.0 || options.cpu_share_delta >= 1.0) {
-    return Status::InvalidArgument("cpu_share_delta must be in [0, 1)");
-  }
+                                       double build_seconds,
+                                       CompiledPlan* compiled) {
+  FAST_RETURN_IF_ERROR(ValidateRunOptions(options));
+  // Without a recording the plan only carries the host share and the stats;
+  // card partitions are dropped once matched.
+  CompiledPlan local;
+  CompiledPlan& plan = compiled != nullptr ? *compiled : local;
+  plan = CompiledPlan{};
+  plan.order = order;
+  InlineRun run(options, order, build_seconds);
 
-  const QueryGraph& q = cst.layout().query();
-  FastRunResult result;
-  result.order = order;
-  result.build_seconds = build_seconds;
-
-  ResultCollector collector(options.store_limit);
-  if (options.embedding_callback) collector.SetCallback(options.embedding_callback);
-
-  // --- FAST-DRAM strawman: no partitioning, CST stays in card DRAM. ---
+  // --- FAST-DRAM strawman: no partitioning, the whole CST stays in card
+  // DRAM, so the plan is one partition. ---
   if (options.variant == FastVariant::kDram) {
-    obs::ScopedSpan match_span(options.trace, obs::Span::kMatch);
-    FAST_ASSIGN_OR_RETURN(KernelRunResult run,
-                          RunKernel(cst, result.order, options.fpga, &collector,
-                                    /*round_trace=*/nullptr, options.cancel));
-    result.counters = run.counters;
-    result.embeddings = run.embeddings;
-    result.kernel_seconds = SimulatedKernelSeconds(
-        options.fpga, FastVariant::kDram, run, cst.SizeWords(), q.NumVertices());
-    result.dma_bytes = CstWireBytes(cst);
-    result.pcie_seconds =
-        options.fpga.PcieSeconds(static_cast<double>(result.dma_bytes));
-    if (options.trace != nullptr) {
-      options.trace->RecordSimulated(obs::Span::kDma, result.pcie_seconds);
-      options.trace->RecordSimulated(obs::Span::kKernel, result.kernel_seconds);
-    }
-    result.partition_stats.num_partitions = 1;
-    result.partition_stats.total_size_words = cst.SizeWords();
-    result.fpga_partitions = 1;
-    result.total_seconds =
-        result.build_seconds + result.pcie_seconds + result.kernel_seconds;
-    result.sample_embeddings = collector.stored();
-    return result;
+    FAST_RETURN_IF_ERROR(run.MatchOnCard(cst, CstWireBytes(cst)));
+    plan.partition_stats.num_partitions = 1;
+    plan.partition_stats.total_size_words = cst.SizeWords();
+    if (compiled != nullptr) plan.fpga.push_back(CompilePartition(cst));
+    return run.Finish(plan);
   }
-
-  // One wall `match` span covers partitioning, simulated-device matching,
-  // and the CPU share — host time, as opposed to the simulated dma/kernel
-  // durations recorded separately below.
-  obs::ScopedSpan match_span(options.trace, obs::Span::kMatch);
 
   // --- (2)+(3)+(4) Partition, transfer, and match; (5) CPU share. ---
-  const PartitionConfig pconfig =
-      DerivePartitionConfig(options.fpga, q.NumVertices(), options.partition);
-
-  double w_cpu = 0.0;    // W_C: estimated workload kept on the host
-  double w_fpga = 0.0;   // W_F: estimated workload sent to the card
-  std::vector<Cst> cpu_queue;
-
-  Timer partition_timer;
-  double kernel_seconds = 0.0;
-  double pcie_seconds = 0.0;
+  const PartitionConfig pconfig = DerivePartitionConfig(
+      options.fpga, cst.NumQueryVertices(), options.partition);
+  const bool share = options.cpu_share_delta > 0.0;
   const auto fpga_sink = [&](Cst part) -> Status {
-    w_fpga += EstimateWorkload(part);
-    KernelRunResult run;
-    {
-      // Same stage name as the device executor's, so profiles attribute
-      // inline kernel time below serve;match.
-      FAST_PROF_STAGE("kernel");
-      FAST_ASSIGN_OR_RETURN(run, RunKernel(part, result.order, options.fpga,
-                                           &collector, /*round_trace=*/nullptr,
-                                           options.cancel));
-    }
-    result.counters += run.counters;
-    result.embeddings += run.embeddings;
-    kernel_seconds += SimulatedKernelSeconds(options.fpga, options.variant, run,
-                                             part.SizeWords(), q.NumVertices());
-    const std::uint64_t part_bytes = CstWireBytes(part);
-    result.dma_bytes += part_bytes;
-    pcie_seconds += options.fpga.PcieSeconds(static_cast<double>(part_bytes));
-    ++result.fpga_partitions;
+    // W_F only matters to Alg. 3's admission test.
+    if (share) plan.w_fpga += EstimateWorkload(part);
+    CompiledPartition compiled_part = CompilePartition(std::move(part));
+    FAST_RETURN_IF_ERROR(
+        run.MatchOnCard(*compiled_part.cst, compiled_part.wire_bytes));
+    if (compiled != nullptr) plan.fpga.push_back(std::move(compiled_part));
     return Status::OK();
   };
+  Timer partition_timer;
   Status sink_status;
-  if (options.cpu_share_delta > 0.0) {
-    // Alg. 3: the host keeps a CST while its share of the total estimated
-    // workload stays below δ. Crucially this is consulted *during*
-    // partitioning, so the host can absorb oversized CSTs instead of
-    // recursing on them (Sec. VII-B's FAST-SHARE saving).
-    const auto try_cpu = [&](Cst& part) -> bool {
-      const double w = EstimateWorkload(part);
-      if (w_cpu + w >= options.cpu_share_delta * (w_cpu + w_fpga + w)) {
-        return false;
-      }
-      w_cpu += w;
-      cpu_queue.push_back(std::move(part));
-      return true;
-    };
-    sink_status = PartitionCstWithOffload(cst, result.order, pconfig, fpga_sink,
-                                          try_cpu, &result.partition_stats);
-  } else {
-    sink_status =
-        PartitionCst(cst, result.order, pconfig, fpga_sink, &result.partition_stats);
+  {
+    FAST_PROF_STAGE("partition");
+    if (share) {
+      // Alg. 3: the host keeps a CST while its share of the total estimated
+      // workload stays below δ. Crucially this is consulted *during*
+      // partitioning, so the host can absorb oversized CSTs instead of
+      // recursing on them (Sec. VII-B's FAST-SHARE saving).
+      const auto try_cpu = [&](Cst& part) -> bool {
+        const double w = EstimateWorkload(part);
+        if (plan.w_cpu + w >=
+            options.cpu_share_delta * (plan.w_cpu + plan.w_fpga + w)) {
+          return false;
+        }
+        plan.w_cpu += w;
+        plan.cpu.push_back(std::make_shared<const Cst>(std::move(part)));
+        return true;
+      };
+      sink_status = PartitionCstWithOffload(cst, order, pconfig, fpga_sink,
+                                            try_cpu, &plan.partition_stats);
+    } else {
+      sink_status = PartitionCst(cst, order, pconfig, fpga_sink,
+                                 &plan.partition_stats);
+    }
   }
   FAST_RETURN_IF_ERROR(sink_status);
-  result.partition_seconds = partition_timer.ElapsedSeconds();
-  result.kernel_seconds = kernel_seconds;
-  result.pcie_seconds = pcie_seconds;
+  run.set_partition_seconds(partition_timer.ElapsedSeconds());
+  return run.Finish(plan);
+}
 
-  // --- (5) CPU share runs after partitioning completes (Sec. V-C). ---
-  Timer share_timer;
-  for (const Cst& part : cpu_queue) {
-    FAST_ASSIGN_OR_RETURN(std::uint64_t found,
-                          MatchCstOnCpu(part, result.order, &collector,
-                                        options.cancel));
-    result.embeddings += found;
+StatusOr<FastRunResult> RunCompiledPlan(const CompiledPlan& plan,
+                                        const FastRunOptions& options) {
+  FAST_RETURN_IF_ERROR(ValidateRunOptions(options));
+  InlineRun run(options, plan.order, /*build_seconds=*/0.0);
+  for (const CompiledPartition& part : plan.fpga) {
+    FAST_RETURN_IF_ERROR(run.MatchOnCard(*part.cst, part.wire_bytes));
   }
-  result.cpu_partitions = cpu_queue.size();
-  result.cpu_share_seconds = cpu_queue.empty() ? 0.0 : share_timer.ElapsedSeconds();
-
-  const double w_total = w_cpu + w_fpga;
-  result.cpu_share_fraction = w_total > 0.0 ? w_cpu / w_total : 0.0;
-
-  if (options.trace != nullptr) {
-    options.trace->RecordSimulated(obs::Span::kDma, result.pcie_seconds);
-    options.trace->RecordSimulated(obs::Span::kKernel, result.kernel_seconds);
-  }
-
-  // --- (6) Composition: the card overlaps host partitioning; the CPU share
-  // extends the host path. ---
-  result.total_seconds =
-      result.build_seconds +
-      std::max(result.partition_seconds + result.cpu_share_seconds,
-               result.pcie_seconds + result.kernel_seconds);
-  result.sample_embeddings = collector.stored();
-  return result;
+  return run.Finish(plan);
 }
 
 StatusOr<MultiFpgaResult> RunMultiFpga(const QueryGraph& q, const Graph& g,

@@ -22,10 +22,11 @@
 #include <optional>
 #include <span>
 
-#include "cst/cst.h"
-#include "cst/partition.h"
+#include "core/compiled_plan.h"
 #include "core/kernel.h"
 #include "core/result_collector.h"
+#include "cst/cst.h"
+#include "cst/partition.h"
 #include "fpga/config.h"
 #include "fpga/cycle_model.h"
 #include "ldbc/ldbc.h"
@@ -119,12 +120,16 @@ StatusOr<FastRunResult> RunFast(const QueryGraph& q, const Graph& g,
                                 const FastRunOptions& options = {});
 
 // Runs steps (2)-(6) of the pipeline from a prebuilt CST and matching order,
-// skipping order computation and CST construction. This is the cache-hit
-// path of the service layer: a deserialized CST image re-enters the pipeline
-// here. `order` must be tree-connected with order.root equal to the CST's
-// BFS-tree root. `build_seconds` is reported in the result (pass the
-// measured construction time, or 0 when the CST came from a cache).
-// `options.explicit_order` and `options.order_policy` are ignored.
+// skipping order computation and CST construction. This is the plan-miss
+// path of the service layer. `order` must be tree-connected with order.root
+// equal to the CST's BFS-tree root. `build_seconds` is reported in the result
+// (pass the measured construction time). `options.explicit_order` and
+// `options.order_policy` are ignored.
+//
+// A non-null `compiled` records the run's plan (core/compiled_plan.h): the
+// order, every partition as Alg. 2 emits it (each is matched as soon as it
+// is emitted, exactly as without recording), the partition stats and the
+// Alg. 3 split. The recording is complete only when the call returns OK.
 //
 // This call simulates a device PRIVATE to the request: partitions match
 // inline on the calling thread and every call pays its own PCIe transfers.
@@ -133,7 +138,17 @@ StatusOr<FastRunResult> RunFast(const QueryGraph& q, const Graph& g,
 // concurrent requests.
 StatusOr<FastRunResult> RunFastWithCst(const Cst& cst, const MatchingOrder& order,
                                        const FastRunOptions& options = {},
-                                       double build_seconds = 0.0);
+                                       double build_seconds = 0.0,
+                                       CompiledPlan* compiled = nullptr);
+
+// Runs steps (3)-(6) from a plan recorded by RunFastWithCst under the same
+// options: the plan-hit path. The cached partitions are matched in their
+// recorded order and the recorded host share runs on the CPU, so
+// embeddings, counters, simulated seconds, partition stats and the Alg. 3
+// split equal the recording run's. Nothing is built or partitioned:
+// build_seconds and partition_seconds are 0.
+StatusOr<FastRunResult> RunCompiledPlan(const CompiledPlan& plan,
+                                        const FastRunOptions& options = {});
 
 // Effective partition thresholds for a device (δ_S, δ_D derivation).
 PartitionConfig DerivePartitionConfig(const FpgaConfig& fpga, std::size_t query_size,

@@ -335,7 +335,9 @@ StatusOr<Cst> SubsetCst(const Cst& cst, const std::vector<std::vector<char>>& ke
   out.non_tree_materialized_ = cst.non_tree_materialized_;
   out.candidates_.resize(n);
 
-  // Old position -> new position (or -1).
+  // Old position -> new position (or -1). Every array of the subset is
+  // sized exactly: a 1/k split that reserved its parent's sizes would keep
+  // up to k times its real footprint alive for as long as it is cached.
   std::vector<std::vector<std::int32_t>> remap(n);
   for (VertexId u = 0; u < n; ++u) {
     const auto cands = cst.Candidates(u);
@@ -343,6 +345,8 @@ StatusOr<Cst> SubsetCst(const Cst& cst, const std::vector<std::vector<char>>& ke
       return Status::InvalidArgument("keep mask size mismatch at query vertex " +
                                      std::to_string(u));
     }
+    out.candidates_[u].reserve(static_cast<std::size_t>(
+        std::count_if(keep[u].begin(), keep[u].end(), [](char k) { return k != 0; })));
     remap[u].assign(cands.size(), -1);
     for (std::size_t i = 0; i < cands.size(); ++i) {
       if (keep[u][i]) {
@@ -354,6 +358,9 @@ StatusOr<Cst> SubsetCst(const Cst& cst, const std::vector<std::vector<char>>& ke
 
   const auto& edges = cst.layout_->edges();
   out.adj_.resize(edges.size());
+  // Targets are filtered into one scratch buffer, then copied out once at
+  // their exact size.
+  std::vector<std::uint32_t> scratch;
   for (std::size_t s = 0; s < edges.size(); ++s) {
     const auto [from, to, is_tree] = edges[s];
     const auto& src_remap = remap[from];
@@ -361,8 +368,7 @@ StatusOr<Cst> SubsetCst(const Cst& cst, const std::vector<std::vector<char>>& ke
     const auto& in = cst.adj_[s];
     auto& el = out.adj_[s];
     el.offsets.assign(out.candidates_[from].size() + 1, 0);
-    el.targets.clear();
-    el.targets.reserve(in.targets.size());
+    scratch.clear();
     // Kept rows appear in ascending src_remap order (the remap preserves
     // order), so one pass filters + remaps and records offsets as it goes.
     // Remapped targets stay ascending within a row for the same reason.
@@ -371,11 +377,12 @@ StatusOr<Cst> SubsetCst(const Cst& cst, const std::vector<std::vector<char>>& ke
       if (src_remap[i] < 0) continue;
       for (std::uint32_t t : in.Neighbors(static_cast<std::uint32_t>(i))) {
         if (dst_remap[t] >= 0) {
-          el.targets.push_back(static_cast<std::uint32_t>(dst_remap[t]));
+          scratch.push_back(static_cast<std::uint32_t>(dst_remap[t]));
         }
       }
-      el.offsets[++row] = static_cast<std::uint32_t>(el.targets.size());
+      el.offsets[++row] = static_cast<std::uint32_t>(scratch.size());
     }
+    el.targets.assign(scratch.begin(), scratch.end());
   }
   return out;
 }

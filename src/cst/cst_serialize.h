@@ -13,6 +13,12 @@
 // length prefixes, so the BRAM budget accounting (δ_S) matches what is
 // actually shipped. Decoding requires the CstLayout (query + root), which the
 // host and kernel share by construction.
+//
+// The image is not on the serving path: the plan cache keeps compiled plans
+// (core/compiled_plan.h) whose partitions are matched as they are, with no
+// encode or decode. It is kept on purpose for two users: CstWireBytes, which
+// sizes every simulated PCIe transfer from this layout, and
+// cst_serialize_test, which checks that the layout round-trips a CST exactly.
 
 #include <cstdint>
 #include <vector>

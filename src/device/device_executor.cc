@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <deque>
+#include <functional>
 #include <optional>
 #include <set>
 #include <string_view>
@@ -11,7 +12,6 @@
 #include <utility>
 
 #include "core/kernel.h"
-#include "cst/cst_serialize.h"
 #include "cst/partition.h"
 #include "fpga/pipeline_sim.h"
 #include "obs/profiler.h"
@@ -46,9 +46,8 @@ struct DeviceQuery {
 // A CST partition awaiting its device round.
 struct DeviceExecutor::WorkItem {
   std::shared_ptr<DeviceQuery> query;
-  Cst cst;
+  CompiledPartition part;
   std::size_t part_index = 0;  // emission order within the query's plan
-  std::size_t wire_bytes = 0;  // CstWireBytes(cst), cached at enqueue
 };
 
 // Per-queue-key scheduler state, guarded by DeviceExecutor::mu_. Fairness
@@ -134,11 +133,10 @@ std::shared_ptr<DeviceQuery> DeviceExecutor::BeginQuery(
 }
 
 Status DeviceExecutor::EnqueuePartition(
-    const std::shared_ptr<DeviceQuery>& query, Cst part) {
+    const std::shared_ptr<DeviceQuery>& query, CompiledPartition part) {
   WorkItem item;
   item.query = query;
-  item.wire_bytes = CstWireBytes(part);
-  item.cst = std::move(part);
+  item.part = std::move(part);
   {
     std::unique_lock<util::ProfiledMutex> lock(mu_);
     // Back-pressure, not rejection: dropping one partition of a query would
@@ -302,11 +300,12 @@ void DeviceExecutor::RunRound(std::vector<WorkItem> round) {
     const auto key = std::make_tuple(std::string_view(q.queue_key), q.epoch,
                                      std::string_view(q.plan_key),
                                      round[i].part_index);
+    const std::size_t bytes = round[i].part.wire_bytes;
     if (seen.insert(key).second) {
-      payload += round[i].wire_bytes;
-      contributed[i] = round[i].wire_bytes;
+      payload += bytes;
+      contributed[i] = bytes;
     } else {
-      saved += round[i].wire_bytes;
+      saved += bytes;
     }
   }
   std::uint64_t wire = 0;
@@ -343,8 +342,8 @@ void DeviceExecutor::RunRound(std::vector<WorkItem> round) {
   std::optional<obs::StageScope> prof_stage;
   prof_stage.emplace("kernel");
   for (std::size_t i = 0; i < round.size(); ++i) {
-    WorkItem& item = round[i];
-    DeviceQuery& q = *item.query;
+    const Cst& part = *round[i].part.cst;
+    DeviceQuery& q = *round[i].query;
 
     Status item_status = Status::OK();
     KernelRunResult run;
@@ -355,7 +354,7 @@ void DeviceExecutor::RunRound(std::vector<WorkItem> round) {
     } else {
       trace.clear();
       StatusOr<KernelRunResult> r =
-          RunKernel(item.cst, q.order, fpga, q.collector, &trace, q.cancel);
+          RunKernel(part, q.order, fpga, q.collector, &trace, q.cancel);
       if (!r.ok()) {
         item_status = r.status();
       } else {
@@ -368,12 +367,12 @@ void DeviceExecutor::RunRound(std::vector<WorkItem> round) {
         } else {
           double cycles = sim->cycles;
           cycles += ResultFlushCycles(fpga, run.embeddings,
-                                      item.cst.NumQueryVertices());
+                                      part.NumQueryVertices());
           if (options_.variant != FastVariant::kDram) {
             // The image sits in card DRAM after the shared transfer; each
             // matching pass still DMAs it into BRAM (dedup shares the PCIe
             // hop, not the BRAM load).
-            cycles += CstLoadCycles(fpga, item.cst.SizeWords());
+            cycles += CstLoadCycles(fpga, part.SizeWords());
           }
           kernel_s = fpga.CyclesToSeconds(cycles);
         }
@@ -497,15 +496,18 @@ std::vector<obs::TimelineRound> DeviceExecutor::recent_rounds() const {
   return {recent_rounds_.begin(), recent_rounds_.end()};
 }
 
-StatusOr<FastRunResult> RunCstOnDevice(DeviceExecutor& device, const Cst& cst,
-                                       const MatchingOrder& order,
-                                       const FastRunOptions& options,
-                                       const std::string& queue_key,
-                                       std::uint64_t epoch,
-                                       const std::string& plan_key,
-                                       double build_seconds) {
+namespace {
+
+// Shared body of RunCstOnDevice and RunPlanOnDevice: opens a session, lets
+// `feed` enqueue the query's partitions (and fill partition_stats /
+// partition_seconds), waits for the device, and composes the result.
+StatusOr<FastRunResult> RunOnDevice(
+    DeviceExecutor& device, const MatchingOrder& order,
+    const FastRunOptions& options, const std::string& queue_key,
+    std::uint64_t epoch, const std::string& plan_key, double build_seconds,
+    const std::function<Status(const std::shared_ptr<DeviceQuery>&,
+                               FastRunResult*)>& feed) {
   FAST_RETURN_IF_ERROR(device.options().fpga.Validate());
-  const QueryGraph& q = cst.layout().query();
   FastRunResult result;
   result.order = order;
   result.build_seconds = build_seconds;
@@ -516,28 +518,17 @@ StatusOr<FastRunResult> RunCstOnDevice(DeviceExecutor& device, const Cst& cst,
   ResultCollector collector(options.store_limit);
   if (options.embedding_callback) collector.SetCallback(options.embedding_callback);
 
-  const PartitionConfig pconfig = DerivePartitionConfig(
-      device.options().fpga, q.NumVertices(), options.partition);
   std::shared_ptr<DeviceQuery> session = device.BeginQuery(
       queue_key, epoch, plan_key, order, &collector, options.cancel);
 
-  // Partitions stream to the device as Alg. 2 emits them, so matching
-  // overlaps the remainder of partitioning exactly as in the driver path.
   // The whole submit-and-wait is this request's wall `device_wait` span —
   // the time the worker thread spent blocked on shared device rounds.
   if (options.trace != nullptr) options.trace->Begin(obs::Span::kDeviceWait);
   FAST_PROF_STAGE("device_wait");
-  Timer partition_timer;
-  const Status partition_status = PartitionCst(
-      cst, order, pconfig,
-      [&](Cst part) -> Status {
-        return device.EnqueuePartition(session, std::move(part));
-      },
-      &result.partition_stats);
-  result.partition_seconds = partition_timer.ElapsedSeconds();
+  const Status feed_status = feed(session, &result);
 
-  // Reap before propagating any partitioning error: items already queued
-  // must be accounted for even when a later enqueue failed.
+  // Reap before propagating any feed error: items already queued must be
+  // accounted for even when a later enqueue failed.
   DeviceQueryResult reaped = device.FinishQuery(session);
   if (options.trace != nullptr) {
     options.trace->End();
@@ -546,7 +537,7 @@ StatusOr<FastRunResult> RunCstOnDevice(DeviceExecutor& device, const Cst& cst,
     options.trace->RecordSimulated(obs::Span::kDma, reaped.pcie_seconds);
     options.trace->RecordSimulated(obs::Span::kKernel, reaped.kernel_seconds);
   }
-  FAST_RETURN_IF_ERROR(partition_status);
+  FAST_RETURN_IF_ERROR(feed_status);
   FAST_RETURN_IF_ERROR(reaped.status);
 
   obs::ScopedSpan reassembly_span(options.trace, obs::Span::kReassembly);
@@ -562,6 +553,64 @@ StatusOr<FastRunResult> RunCstOnDevice(DeviceExecutor& device, const Cst& cst,
                result.pcie_seconds + result.kernel_seconds);
   result.sample_embeddings = collector.stored();
   return result;
+}
+
+}  // namespace
+
+StatusOr<FastRunResult> RunCstOnDevice(DeviceExecutor& device, const Cst& cst,
+                                       const MatchingOrder& order,
+                                       const FastRunOptions& options,
+                                       const std::string& queue_key,
+                                       std::uint64_t epoch,
+                                       const std::string& plan_key,
+                                       double build_seconds,
+                                       CompiledPlan* compiled) {
+  if (compiled != nullptr) {
+    *compiled = CompiledPlan{};
+    compiled->order = order;
+  }
+  const PartitionConfig pconfig = DerivePartitionConfig(
+      device.options().fpga, cst.NumQueryVertices(), options.partition);
+  return RunOnDevice(
+      device, order, options, queue_key, epoch, plan_key, build_seconds,
+      [&](const std::shared_ptr<DeviceQuery>& session, FastRunResult* result) {
+        // Partitions stream to the device as Alg. 2 emits them, so matching
+        // overlaps the remainder of partitioning exactly as in the driver
+        // path.
+        FAST_PROF_STAGE("partition");
+        Timer partition_timer;
+        const Status status = PartitionCst(
+            cst, order, pconfig,
+            [&](Cst part) -> Status {
+              CompiledPartition shared = CompilePartition(std::move(part));
+              if (compiled != nullptr) compiled->fpga.push_back(shared);
+              return device.EnqueuePartition(session, std::move(shared));
+            },
+            &result->partition_stats);
+        result->partition_seconds = partition_timer.ElapsedSeconds();
+        if (compiled != nullptr) {
+          compiled->partition_stats = result->partition_stats;
+        }
+        return status;
+      });
+}
+
+StatusOr<FastRunResult> RunPlanOnDevice(DeviceExecutor& device,
+                                        const CompiledPlan& plan,
+                                        const FastRunOptions& options,
+                                        const std::string& queue_key,
+                                        std::uint64_t epoch,
+                                        const std::string& plan_key) {
+  return RunOnDevice(
+      device, plan.order, options, queue_key, epoch, plan_key,
+      /*build_seconds=*/0.0,
+      [&](const std::shared_ptr<DeviceQuery>& session, FastRunResult* result) {
+        result->partition_stats = plan.partition_stats;
+        for (const CompiledPartition& part : plan.fpga) {
+          FAST_RETURN_IF_ERROR(device.EnqueuePartition(session, part));
+        }
+        return Status::OK();
+      });
 }
 
 }  // namespace fast::device

@@ -6,8 +6,8 @@
 //
 //   workers ── BeginQuery ──▶ per-tenant item queues (one per queue key)
 //      │       EnqueuePartition        │
-//      │   (CST partitions, each       │  deficit-weighted round robin
-//      │    pinned to its request's    ▼
+//      │   (shared CST partitions,     │  deficit-weighted round robin
+//      │    pinned to the request's    ▼
 //      │    captured epoch)      batch scheduler: coalesce up to max_batch
 //      │                         items from MANY queries into one device
 //      │                         round (wait batch_window for stragglers)
@@ -60,6 +60,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/compiled_plan.h"
 #include "core/driver.h"
 #include "core/result_collector.h"
 #include "cst/cst.h"
@@ -186,9 +187,13 @@ class DeviceExecutor {
                                           ResultCollector* collector,
                                           const CancelToken* cancel);
 
-  // Enqueues one CST partition of `query`. Blocks on back-pressure;
-  // FAILED_PRECONDITION after Shutdown. Call from one thread per query.
-  Status EnqueuePartition(const std::shared_ptr<DeviceQuery>& query, Cst part);
+  // Enqueues one CST partition of `query`. The partition is shared, not
+  // copied: the device thread reads it until the item's round ends, so a
+  // cached plan's partitions can be enqueued by any number of queries.
+  // Blocks on back-pressure; FAILED_PRECONDITION after Shutdown. Call from
+  // one thread per query.
+  Status EnqueuePartition(const std::shared_ptr<DeviceQuery>& query,
+                          CompiledPartition part);
 
   // Blocks until every enqueued partition of `query` has been matched (or
   // skipped by cancellation) and returns the aggregate. Call once, after the
@@ -269,14 +274,26 @@ class DeviceExecutor {
 // RunFastWithCst: the device's FpgaConfig/variant replace options.fpga /
 // options.variant, cpu_share_delta is ignored (the device owns all
 // partitions), and the embedding callback runs on the device thread.
-// total_seconds composes as build + max(partition, pcie + kernel).
+// total_seconds composes as build + max(partition, pcie + kernel). A non-null
+// `compiled` records the plan as RunFastWithCst does (no host share).
 StatusOr<FastRunResult> RunCstOnDevice(DeviceExecutor& device, const Cst& cst,
                                        const MatchingOrder& order,
                                        const FastRunOptions& options,
                                        const std::string& queue_key,
                                        std::uint64_t epoch,
                                        const std::string& plan_key,
-                                       double build_seconds = 0.0);
+                                       double build_seconds = 0.0,
+                                       CompiledPlan* compiled = nullptr);
+
+// The plan-hit sibling of RunCstOnDevice: enqueues a recorded plan's
+// partitions, shared and in their recorded order, with no CST build and no
+// re-partition. build_seconds and partition_seconds are 0.
+StatusOr<FastRunResult> RunPlanOnDevice(DeviceExecutor& device,
+                                        const CompiledPlan& plan,
+                                        const FastRunOptions& options,
+                                        const std::string& queue_key,
+                                        std::uint64_t epoch,
+                                        const std::string& plan_key);
 
 }  // namespace fast::device
 

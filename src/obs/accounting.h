@@ -16,8 +16,8 @@
 //                       (dedup-aware in device mode: a query whose image was
 //                       deduplicated against a round-mate is charged 0);
 //   - queue_wait_ns:    submit -> dispatch;
-//   - plan_cache_bytes: serialized CST image bytes this request *inserted*
-//                       into the plan cache (0 on a hit).
+//   - plan_cache_bytes: partition bytes of the compiled plan this request
+//                       *inserted* into the plan cache (0 on a hit).
 //
 // ResourceAccounts aggregates those vectors per tenant id ("__default" for
 // the single-service mode where requests have no tenant) and mirrors the

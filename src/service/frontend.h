@@ -123,15 +123,16 @@ struct CommonServingOptions {
 static_assert(!std::is_aggregate_v<CommonServingOptions>,
               "CommonServingOptions must not be positionally brace-initializable");
 
-// Per-graph plan/CST cache budget, shared by ServiceOptions (the single
+// Per-graph compiled-plan cache budget, shared by ServiceOptions (the single
 // graph) and tenant::TenantOptions (each tenant's graph).
 struct PlanCacheOptions {
   PlanCacheOptions() = default;
 
-  // Plan/CST cache entries; 0 disables caching.
+  // Compiled-plan cache entries; 0 disables caching.
   std::size_t plan_cache_capacity = 64;
 
-  // Byte bound on the summed serialized-CST cache images; 0 = entries-only.
+  // Byte bound on the summed partition bytes of cached plans; 0 =
+  // entries-only.
   std::size_t plan_cache_byte_budget = 0;
 };
 static_assert(!std::is_aggregate_v<PlanCacheOptions>,

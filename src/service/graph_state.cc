@@ -4,7 +4,6 @@
 #include <utility>
 #include <vector>
 
-#include "cst/cst_serialize.h"
 #include "device/device_executor.h"
 #include "obs/profiler.h"
 #include "query/matching_order.h"
@@ -157,66 +156,28 @@ void GraphState::Execute(const CanonicalQuery& canonical,
     }
   }
 
-  StatusOr<FastRunResult> r = Status::Internal("unreachable");
-  bool ran_from_cache = false;
+  std::shared_ptr<const CompiledPlan> plan;
   if (options_.plan_cache_capacity > 0) {
     if (trace != nullptr) trace->Begin(obs::Span::kPlanLookup);
-    std::shared_ptr<const CachedPlan> plan;
     {
       FAST_PROF_STAGE("plan_lookup");
       plan = cache_.Lookup(canonical.key, snap.epoch);
     }
     if (trace != nullptr) trace->End();
-    if (plan != nullptr) {
-      if (plan->order_only()) {
-        // Order-only hit (the full image was over the byte budget): reuse
-        // the cached matching order and rebuild only the CST against this
-        // request's snapshot.
-        if (run.cancel != nullptr && run.cancel->Cancelled()) {
-          ran_from_cache = true;
-          r = Status::DeadlineExceeded("deadline expired before CST rebuild");
-        } else {
-          if (trace != nullptr) trace->Begin(obs::Span::kCstBuild);
-          Timer build_timer;
-          StatusOr<Cst> cst = Status::Internal("unreachable");
-          {
-            FAST_PROF_STAGE("cst_build");
-            cst = BuildCst(canonical.query, *snap.graph, plan->order.root,
-                           run.cst_build);
-          }
-          if (trace != nullptr) trace->End();
-          if (cst.ok()) {
-            ran_from_cache = true;
-            result->cache_hit = true;
-            r = Dispatch(*cst, plan->order, canonical, snap, run, device,
-                         build_timer.ElapsedSeconds());
-          }
-        }
-      } else {
-        // Cache hit: rebuild the CST from the serialized image (the same
-        // flat words that would cross PCIe), skipping order computation and
-        // Alg. 1 construction entirely. The image decode is this request's
-        // whole "cst_build" phase.
-        if (trace != nullptr) trace->Begin(obs::Span::kCstBuild);
-        StatusOr<Cst> cst = Status::Internal("unreachable");
-        {
-          FAST_PROF_STAGE("cst_build");
-          cst = DeserializeCst(plan->layout, plan->cst_image);
-        }
-        if (trace != nullptr) trace->End();
-        if (cst.ok()) {
-          ran_from_cache = true;
-          result->cache_hit = true;
-          r = Dispatch(*cst, plan->order, canonical, snap, run, device,
-                       /*build_seconds=*/0.0);
-        }
-        // A corrupt image falls through to a fresh build below (and its
-        // Insert replaces the bad entry) instead of failing every hit.
-      }
-    }
   }
-  if (!ran_from_cache) {
+  StatusOr<FastRunResult> r = Status::Internal("unreachable");
+  if (plan == nullptr) {
     r = BuildAndRun(canonical, snap, run, device, &result->plan_bytes_charged);
+  } else if (device != nullptr) {
+    // Hit: the cached partitions go straight to matching, no CST build and
+    // no re-partition; on the device they are enqueued shared, not copied.
+    result->cache_hit = true;
+    r = device::RunPlanOnDevice(*device, *plan, run, options_.device_queue_key,
+                                snap.epoch, canonical.key);
+  } else {
+    result->cache_hit = true;
+    FAST_PROF_STAGE("match");
+    r = RunCompiledPlan(*plan, run);
   }
 
   if (!r.ok()) {
@@ -245,39 +206,20 @@ void GraphState::Execute(const CanonicalQuery& canonical,
   }
 }
 
-StatusOr<FastRunResult> GraphState::Dispatch(const Cst& cst,
-                                             const MatchingOrder& order,
-                                             const CanonicalQuery& canonical,
-                                             const GraphSnapshot& snap,
-                                             const FastRunOptions& run,
-                                             device::DeviceExecutor* device,
-                                             double build_seconds) {
-  if (device != nullptr) {
-    // Shared-device mode: partitions are matched in cross-query batches on
-    // the executor. The canonical key + epoch identify the CST image, so
-    // concurrent requests for the same shape share one PCIe transfer.
-    return device::RunCstOnDevice(*device, cst, order, run,
-                                  options_.device_queue_key, snap.epoch,
-                                  canonical.key, build_seconds);
-  }
-  FAST_PROF_STAGE("match");
-  return RunFastWithCst(cst, order, run, build_seconds);
-}
-
 StatusOr<FastRunResult> GraphState::BuildAndRun(
     const CanonicalQuery& canonical, const GraphSnapshot& snap,
     const FastRunOptions& run, device::DeviceExecutor* device,
     std::uint64_t* plan_bytes_charged) {
-  // Cache miss (or cache disabled): compute the order and build the CST for
-  // the canonical query against this request's snapshot, publish the plan
-  // under the snapshot's epoch, then run the pipeline from it.
+  // Plan miss (or cache disabled): compute the order and build the CST for
+  // the canonical query against this request's snapshot, then partition and
+  // match it, recording the compiled plan as partitions are emitted.
   const QueryGraph& q = canonical.query;
   const Graph& g = *snap.graph;
-  // One cst_build span covers order computation, Alg. 1 construction, and
-  // the serialize+insert that publishes the plan; an early error return
-  // leaves the span open and RequestTrace::Finish closes it.
+  // One cst_build span covers order computation and Alg. 1 construction; an
+  // early error return leaves the span open and RequestTrace::Finish closes
+  // it.
   if (run.trace != nullptr) run.trace->Begin(obs::Span::kCstBuild);
-  // Optional so the stage closes before Dispatch (whose own stages must not
+  // Optional so the stage closes before matching (whose own stages must not
   // nest under cst_build); early error returns destroy it too.
   std::optional<obs::StageScope> build_stage;
   build_stage.emplace("cst_build");
@@ -289,18 +231,30 @@ StatusOr<FastRunResult> GraphState::BuildAndRun(
   Timer build_timer;
   FAST_ASSIGN_OR_RETURN(Cst cst, BuildCst(q, g, order.root, run.cst_build));
   const double build_seconds = build_timer.ElapsedSeconds();
-
-  if (options_.plan_cache_capacity > 0) {
-    auto plan = std::make_shared<CachedPlan>();
-    plan->order = order;
-    plan->layout = cst.layout_ptr();
-    plan->cst_image = SerializeCst(cst);
-    *plan_bytes_charged = plan->ImageBytes();
-    cache_.Insert(canonical.key, snap.epoch, std::move(plan));
-  }
   if (run.trace != nullptr) run.trace->End();
   build_stage.reset();
-  return Dispatch(cst, order, canonical, snap, run, device, build_seconds);
+
+  auto compiled = options_.plan_cache_capacity > 0
+                      ? std::make_shared<CompiledPlan>()
+                      : nullptr;
+  StatusOr<FastRunResult> r = Status::Internal("unreachable");
+  if (device != nullptr) {
+    // Shared-device mode: partitions are matched in cross-query batches on
+    // the executor. The canonical key + epoch identify the partitions, so
+    // concurrent requests for the same shape share one PCIe transfer.
+    r = device::RunCstOnDevice(*device, cst, order, run,
+                               options_.device_queue_key, snap.epoch,
+                               canonical.key, build_seconds, compiled.get());
+  } else {
+    FAST_PROF_STAGE("match");
+    r = RunFastWithCst(cst, order, run, build_seconds, compiled.get());
+  }
+  // Only a run that finished has recorded every partition.
+  if (r.ok() && compiled != nullptr &&
+      cache_.Insert(canonical.key, snap.epoch, compiled)) {
+    *plan_bytes_charged = compiled->SizeBytes();
+  }
+  return r;
 }
 
 }  // namespace fast::service

@@ -12,10 +12,12 @@
 //     and publish it atomically while in-flight requests drain on the
 //     snapshot they captured (the old graph is freed when its last request
 //     drops the shared_ptr);
-//   - the epoch-tagged plan/CST cache (plan_cache.h), invalidated eagerly on
-//     publish and re-checked per hit;
-//   - request execution: canonical-query cache lookup, build-and-run, and
-//     the remap of every client-visible vertex reference back to the
+//   - the epoch-tagged compiled-plan cache (plan_cache.h), invalidated
+//     eagerly on publish and re-checked per hit;
+//   - request execution: canonical-query cache lookup; on a miss, order +
+//     CST build + Alg. 2 partitioning, recorded into a CompiledPlan while the
+//     partitions are matched; on a hit, matching the cached partitions only;
+//     then the remap of every client-visible vertex reference back to the
 //     submitted numbering.
 //
 // Serve() is the single entry point a worker calls after dequeuing a
@@ -99,9 +101,10 @@ struct RequestResult {
   std::uint64_t graph_epoch = 0;
   double queue_seconds = 0.0;  // Submit -> dispatch
   double total_seconds = 0.0;  // Submit -> completion
-  // Serialized CST image bytes this request inserted into the plan cache
-  // (0 on a hit or with caching off) — the plan-cache dimension of the
-  // request's resource-account charge (obs/accounting.h).
+  // Partition bytes of the compiled plan this request inserted into the
+  // plan cache (0 on a hit, with caching off, or when the plan was not
+  // cached) — the plan-cache dimension of the request's resource-account
+  // charge (obs/accounting.h).
   std::uint64_t plan_bytes_charged = 0;
   // Per-span latency breakdown of this request (obs/trace.h); null when the
   // service ran with tracing disabled. Shared with the service's recent- and
@@ -110,9 +113,10 @@ struct RequestResult {
 };
 
 struct GraphStateOptions {
-  // Plan/CST cache entries; 0 disables caching.
+  // Compiled-plan cache entries; 0 disables caching.
   std::size_t plan_cache_capacity = 64;
-  // Byte bound on the summed serialized-CST images; 0 = entries-only bound.
+  // Byte bound on the summed partition bytes of cached plans; 0 =
+  // entries-only bound.
   std::size_t plan_cache_byte_budget = 0;
   // Fairness-queue key on a shared device executor: the id of the tenant
   // this state serves. Only used in device mode.
@@ -184,14 +188,6 @@ class GraphState {
                                       const FastRunOptions& run,
                                       device::DeviceExecutor* device,
                                       std::uint64_t* plan_bytes_charged);
-  // Runs the pipeline from a ready CST + order: inline on this thread, or on
-  // the shared device executor when `device` is non-null.
-  StatusOr<FastRunResult> Dispatch(const Cst& cst, const MatchingOrder& order,
-                                   const CanonicalQuery& canonical,
-                                   const GraphSnapshot& snap,
-                                   const FastRunOptions& run,
-                                   device::DeviceExecutor* device,
-                                   double build_seconds);
   std::uint64_t Publish(Graph next);
 
   const GraphStateOptions options_;

@@ -10,7 +10,7 @@
 // exactly one tenant, whose id is the empty SessionKey. Admission control,
 // the queue, the worker pool, outcome classification, cost charging and
 // delivery all live in the router (tenant/tenant_router.h); per-graph state
-// (epoch-snapshotted graph, plan/CST cache, execution and remap) lives in
+// (epoch-snapshotted graph, plan cache, execution and remap) lives in
 // the tenant's GraphState (service/graph_state.h). This class keeps the
 // historical single-graph API and implements the transport-agnostic
 // Frontend interface (service/frontend.h); the session key is advisory

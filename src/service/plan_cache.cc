@@ -8,7 +8,7 @@ void PlanCache::BindMetrics(obs::MetricsRegistry* registry) {
   if (registry == nullptr) return;
   std::lock_guard<util::ProfiledMutex> lock(mu_);
   hits_counter_ = registry->GetCounter("fast_plan_cache_hits_total",
-                                       "Plan cache hits (incl. order-only)");
+                                       "Plan cache hits");
   misses_counter_ = registry->GetCounter("fast_plan_cache_misses_total",
                                          "Plan cache misses");
   insertions_counter_ = registry->GetCounter("fast_plan_cache_insertions_total",
@@ -21,19 +21,19 @@ void PlanCache::BindMetrics(obs::MetricsRegistry* registry) {
   entries_gauge_ = registry->GetGauge("fast_plan_cache_entries",
                                       "Live plan cache entries (all caches)");
   bytes_gauge_ = registry->GetGauge(
-      "fast_plan_cache_bytes", "Serialized-CST bytes cached (all caches)");
+      "fast_plan_cache_bytes", "Cached plan partition bytes (all caches)");
 }
 
 void PlanCache::EraseLocked(std::unordered_map<std::string, Entry>::iterator it,
                             std::uint64_t* counter) {
-  const std::size_t image_bytes = it->second.plan->ImageBytes();
-  stats_.bytes_in_use -= image_bytes;
+  const std::size_t bytes = it->second.bytes;
+  stats_.bytes_in_use -= bytes;
   lru_.erase(it->second.lru_it);
   entries_.erase(it);
   ++*counter;
   if (entries_gauge_ != nullptr) {
     entries_gauge_->Add(-1.0);
-    bytes_gauge_->Add(-static_cast<double>(image_bytes));
+    bytes_gauge_->Add(-static_cast<double>(bytes));
     (counter == &stats_.evictions ? evictions_counter_ : invalidations_counter_)
         ->Increment();
   }
@@ -49,8 +49,8 @@ void PlanCache::EvictToFitLocked() {
   stats_.entries = entries_.size();
 }
 
-std::shared_ptr<const CachedPlan> PlanCache::Lookup(const std::string& key,
-                                                    std::uint64_t epoch) {
+std::shared_ptr<const CompiledPlan> PlanCache::Lookup(const std::string& key,
+                                                      std::uint64_t epoch) {
   std::lock_guard<util::ProfiledMutex> lock(mu_);
   auto it = entries_.find(key);
   if (it == entries_.end()) {
@@ -76,56 +76,48 @@ std::shared_ptr<const CachedPlan> PlanCache::Lookup(const std::string& key,
   lru_.splice(lru_.begin(), lru_, it->second.lru_it);
   ++stats_.hits;
   if (hits_counter_ != nullptr) hits_counter_->Increment();
-  if (it->second.plan->order_only()) ++stats_.order_only_hits;
   return it->second.plan;
 }
 
-void PlanCache::Insert(const std::string& key, std::uint64_t epoch,
-                       std::shared_ptr<const CachedPlan> plan) {
-  if (capacity_ == 0 || plan == nullptr) return;
+bool PlanCache::Insert(const std::string& key, std::uint64_t epoch,
+                       std::shared_ptr<const CompiledPlan> plan) {
+  if (capacity_ == 0 || plan == nullptr) return false;
+  const std::size_t bytes = plan->SizeBytes();
   std::lock_guard<util::ProfiledMutex> lock(mu_);
   // A plan from an already-invalidated epoch (a request draining on an old
   // snapshot) can never serve anyone — dropping it here keeps it from
   // entering at the MRU position and evicting a live current-epoch entry.
-  if (epoch < min_epoch_) return;
-  if (byte_budget_ > 0 && plan->ImageBytes() > byte_budget_) {
-    // Demote to an order-only entry: the image would evict the whole cache,
-    // but the matching order costs a few words and a hit on it still skips
-    // order computation (the CST is rebuilt on hit).
-    auto demoted = std::make_shared<CachedPlan>();
-    demoted->order = plan->order;
-    plan = std::move(demoted);
+  if (epoch < min_epoch_) return false;
+  if (byte_budget_ > 0 && bytes > byte_budget_) {
     ++stats_.rejected_oversized;
+    return false;
   }
   auto it = entries_.find(key);
   if (it != entries_.end()) {
     // Never replace a fresher plan with one a draining old-epoch request
     // just built — that would thrash the slot around every swap.
-    if (it->second.epoch > epoch) return;
-    const auto old_bytes = static_cast<double>(it->second.plan->ImageBytes());
-    stats_.bytes_in_use -= it->second.plan->ImageBytes();
-    stats_.bytes_in_use += plan->ImageBytes();
+    if (it->second.epoch > epoch) return false;
+    stats_.bytes_in_use = stats_.bytes_in_use - it->second.bytes + bytes;
     if (bytes_gauge_ != nullptr) {
-      bytes_gauge_->Add(static_cast<double>(plan->ImageBytes()) - old_bytes);
+      bytes_gauge_->Add(static_cast<double>(bytes) -
+                        static_cast<double>(it->second.bytes));
       insertions_counter_->Increment();
     }
-    it->second.plan = std::move(plan);
-    it->second.epoch = epoch;
+    it->second = Entry{it->second.lru_it, epoch, std::move(plan), bytes};
     lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-    ++stats_.insertions;
-    EvictToFitLocked();  // the replacement image may be larger
-    return;
+  } else {
+    lru_.push_front(key);
+    stats_.bytes_in_use += bytes;
+    if (bytes_gauge_ != nullptr) {
+      bytes_gauge_->Add(static_cast<double>(bytes));
+      entries_gauge_->Add(1.0);
+      insertions_counter_->Increment();
+    }
+    entries_.emplace(key, Entry{lru_.begin(), epoch, std::move(plan), bytes});
   }
-  lru_.push_front(key);
-  stats_.bytes_in_use += plan->ImageBytes();
-  if (bytes_gauge_ != nullptr) {
-    bytes_gauge_->Add(static_cast<double>(plan->ImageBytes()));
-    entries_gauge_->Add(1.0);
-    insertions_counter_->Increment();
-  }
-  entries_.emplace(key, Entry{lru_.begin(), epoch, std::move(plan)});
   ++stats_.insertions;
-  EvictToFitLocked();
+  EvictToFitLocked();  // a replacement plan may be larger
+  return true;
 }
 
 void PlanCache::InvalidateBefore(std::uint64_t epoch) {

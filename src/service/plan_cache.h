@@ -1,14 +1,13 @@
 #ifndef FAST_SERVICE_PLAN_CACHE_H_
 #define FAST_SERVICE_PLAN_CACHE_H_
 
-// Thread-safe LRU cache of query plans for the match service.
+// Thread-safe LRU cache of compiled plans for the match service.
 //
-// A plan is everything RunFastWithCst needs that does not depend on the
-// request: the matching order and the serialized CST image (the same flat
-// word image that crosses PCIe, src/cst/cst_serialize.h), both expressed in
-// the canonical query numbering of the cache key. A hit replaces order
-// computation and CST construction — typically the dominant host-side cost
-// for repeated query shapes — with one DeserializeCst pass over the image.
+// An entry is an immutable CompiledPlan (core/compiled_plan.h): the matching
+// order and the CST's partitions, in the canonical query numbering of the
+// cache key. A hit skips order computation, CST construction and Alg. 2
+// partitioning; the request goes straight to matching the cached partitions,
+// which every hit shares read-only.
 //
 // Plans are data-dependent: the CST enumerates candidate vertices of the
 // data graph, so a plan built against one graph snapshot is garbage against
@@ -22,37 +21,21 @@
 // whole superseded epoch eagerly — correctness never depends on it, the
 // per-key epoch check is the safety net.
 //
-// Entries are immutable once inserted and handed out as shared_ptr, so
-// readers never hold the cache lock while using a plan.
+// Entries are handed out as shared_ptr, so readers never hold the cache lock
+// while using a plan.
 
 #include <cstdint>
 #include <list>
 #include <memory>
 #include <mutex>
-
-#include "util/profiled_mutex.h"
 #include <string>
 #include <unordered_map>
-#include <vector>
 
-#include "cst/cst.h"
+#include "core/compiled_plan.h"
 #include "obs/metrics.h"
-#include "query/matching_order.h"
+#include "util/profiled_mutex.h"
 
 namespace fast::service {
-
-struct CachedPlan {
-  MatchingOrder order;                        // canonical numbering
-  std::shared_ptr<const CstLayout> layout;    // canonical query + root
-  std::vector<std::uint32_t> cst_image;       // SerializeCst output
-
-  std::size_t ImageBytes() const { return cst_image.size() * sizeof(std::uint32_t); }
-
-  // Order-only entry: the plan's CST image exceeded the byte budget, so only
-  // the matching order is cached (layout is null). A hit skips order
-  // computation; the CST is rebuilt against the request's snapshot.
-  bool order_only() const { return cst_image.empty(); }
-};
 
 struct PlanCacheStats {
   std::uint64_t hits = 0;
@@ -60,10 +43,9 @@ struct PlanCacheStats {
   std::uint64_t insertions = 0;
   std::uint64_t evictions = 0;      // LRU capacity or byte-budget pressure
   std::uint64_t invalidations = 0;  // dropped for a superseded epoch
-  std::uint64_t rejected_oversized = 0;  // images over the budget (demoted)
-  std::uint64_t order_only_hits = 0;  // hits that only skipped the order
+  std::uint64_t rejected_oversized = 0;  // plans over the budget, not cached
   std::size_t entries = 0;
-  std::size_t bytes_in_use = 0;  // total serialized-CST footprint
+  std::size_t bytes_in_use = 0;  // Σ CompiledPlan::SizeBytes() of the entries
   std::size_t byte_budget = 0;   // configured bound; 0 = entries-only bound
 
   double HitRate() const {
@@ -76,30 +58,30 @@ class PlanCache {
  public:
   // capacity = max entries; 0 disables caching (Lookup always misses,
   // Insert is a no-op), which is the bench's cache-off baseline.
-  // byte_budget bounds the summed serialized-CST image bytes in addition to
-  // the entry count (hub-heavy queries produce images orders of magnitude
-  // larger than typical, so an entry bound alone does not bound memory);
-  // 0 = no byte bound. A single plan larger than the whole budget is demoted
-  // to an order-only entry — evicting every live entry to admit one query's
-  // image would thrash the cache, but the order (a few words) is always
-  // worth keeping: a hit still skips order computation, rebuilding only the
-  // CST.
+  // byte_budget bounds the summed partition bytes of the cached plans in
+  // addition to the entry count (hub-heavy queries produce CSTs orders of
+  // magnitude larger than typical, so an entry bound alone does not bound
+  // memory); 0 = no byte bound. A single plan larger than the whole budget
+  // is not cached (counted in rejected_oversized): evicting every live entry
+  // to admit one query's plan would thrash the cache.
   explicit PlanCache(std::size_t capacity, std::size_t byte_budget = 0)
       : capacity_(capacity), byte_budget_(byte_budget) {}
 
   // Returns the plan and refreshes its LRU position, or nullptr on miss.
   // An entry tagged with a different epoch is a miss; it is also erased
   // when its epoch is older than the request's.
-  std::shared_ptr<const CachedPlan> Lookup(const std::string& key,
-                                           std::uint64_t epoch);
+  std::shared_ptr<const CompiledPlan> Lookup(const std::string& key,
+                                             std::uint64_t epoch);
 
   // Inserts (or replaces) the plan, tagged with the graph epoch it was built
   // on, and evicts the least recently used entries beyond capacity. An
   // existing entry with a newer epoch is kept (the insert is dropped).
   // Concurrent builders of the same key and epoch are harmless: the last
-  // insert wins and both plans are valid.
-  void Insert(const std::string& key, std::uint64_t epoch,
-              std::shared_ptr<const CachedPlan> plan);
+  // insert wins and both plans are valid. Returns whether the plan was
+  // cached (false when caching is off, the epoch is stale or the plan is
+  // over the byte budget).
+  bool Insert(const std::string& key, std::uint64_t epoch,
+              std::shared_ptr<const CompiledPlan> plan);
 
   // Drops every entry tagged with an epoch < `epoch`, and rejects future
   // Inserts below it (a draining old-epoch request must not push a dead
@@ -121,7 +103,8 @@ class PlanCache {
   struct Entry {
     std::list<std::string>::iterator lru_it;
     std::uint64_t epoch = 0;
-    std::shared_ptr<const CachedPlan> plan;
+    std::shared_ptr<const CompiledPlan> plan;
+    std::size_t bytes = 0;  // plan->SizeBytes(), computed once at insert
   };
 
   // Erases an entry (caller holds mu_), accounting `counter`.

@@ -5,7 +5,7 @@
 //
 //                         ┌────────────────────────────────────────┐
 //   Submit(tenant, q) ──▶ │ registry: tenant id ─▶ GraphState      │
-//          │              │   (epoch snapshot + plan/CST cache)    │
+//          │              │   (epoch snapshot + plan cache)        │
 //     admission:          └────────────────────────────────────────┘
 //     global bound +                        │
 //     per-tenant quota     per-tenant FIFO queues (one per tenant)

@@ -195,7 +195,7 @@ TEST(DeviceExecutorTest, ColdTenantRidesFirstRoundDespiteHotFlood) {
     auto cold = device.BeginQuery("cold", 1, "kc", plan.order, &collector,
                                   nullptr);
     for (std::size_t i = 0; i < kColdItems; ++i) {
-      ASSERT_TRUE(device.EnqueuePartition(cold, plan.cst).ok());
+      ASSERT_TRUE(device.EnqueuePartition(cold, CompilePartition(plan.cst)).ok());
     }
     device.ReleaseRounds();
     DeviceQueryResult r = device.FinishQuery(cold);
@@ -213,12 +213,12 @@ TEST(DeviceExecutorTest, ColdTenantRidesFirstRoundDespiteHotFlood) {
   auto hot =
       device.BeginQuery("hot", 1, "kh", plan.order, &hot_collector, nullptr);
   for (std::size_t i = 0; i < kHotItems; ++i) {
-    ASSERT_TRUE(device.EnqueuePartition(hot, plan.cst).ok());
+    ASSERT_TRUE(device.EnqueuePartition(hot, CompilePartition(plan.cst)).ok());
   }
   auto cold = device.BeginQuery("cold", 1, "kc", plan.order, &cold_collector,
                                 nullptr);
   for (std::size_t i = 0; i < kColdItems; ++i) {
-    ASSERT_TRUE(device.EnqueuePartition(cold, plan.cst).ok());
+    ASSERT_TRUE(device.EnqueuePartition(cold, CompilePartition(plan.cst)).ok());
   }
   device.ReleaseRounds();
   DeviceQueryResult cold_r = device.FinishQuery(cold);
@@ -252,8 +252,8 @@ TEST(DeviceExecutorTest, TrippedTokenSkipsItemsMidBatch) {
   ResultCollector collector;
   auto session =
       device.BeginQuery("t0", 1, "paper-q", plan.order, &collector, &cancelled);
-  ASSERT_TRUE(device.EnqueuePartition(session, plan.cst).ok());
-  ASSERT_TRUE(device.EnqueuePartition(session, plan.cst).ok());
+  ASSERT_TRUE(device.EnqueuePartition(session, CompilePartition(plan.cst)).ok());
+  ASSERT_TRUE(device.EnqueuePartition(session, CompilePartition(plan.cst)).ok());
   DeviceQueryResult r = device.FinishQuery(session);
   EXPECT_EQ(r.status.code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(r.items, 0u);
@@ -278,7 +278,7 @@ TEST(DeviceExecutorTest, ShutdownDrainsThenRejectsNewWork) {
   device.Shutdown();
   ResultCollector collector;
   auto session = device.BeginQuery("t0", 1, "k", plan.order, &collector, nullptr);
-  EXPECT_EQ(device.EnqueuePartition(session, plan.cst).code(),
+  EXPECT_EQ(device.EnqueuePartition(session, CompilePartition(plan.cst)).code(),
             StatusCode::kFailedPrecondition);
   auto after = RunCstOnDevice(device, plan.cst, plan.order, run, "t0", 1, "k");
   EXPECT_FALSE(after.ok());

@@ -34,7 +34,10 @@ TEST(DriverTest, StoresSampleEmbeddings) {
 
 // Inline matching publishes the same "kernel" stage as the device executor,
 // so profiles attribute RunKernel time below the caller's stage. The
-// embedding callback runs inside RunKernel, so sampling there is exact.
+// embedding callback runs inside RunKernel, so sampling there is exact. On
+// the miss path the kernel runs inside Alg. 2's sink, below "partition"; a
+// compiled-plan run does no partitioning, so its kernel sits right below the
+// caller's stage.
 TEST(DriverTest, InlineKernelRunsInKernelProfilerStage) {
   obs::Profiler::RegisterCurrentThread("driver-test", obs::ThreadKind::kWorker);
   obs::Profiler* profiler = obs::Profiler::Default();
@@ -42,21 +45,40 @@ TEST(DriverTest, InlineKernelRunsInKernelProfilerStage) {
   options.embedding_callback = [&](std::span<const VertexId>) {
     profiler->SampleOnce();
   };
-  const obs::ProfileSnapshot before = profiler->Snapshot();
+  const QueryGraph q = PaperQuery();
+  const Graph g = PaperDataGraph();
+  const MatchingOrder order =
+      ComputeMatchingOrder(q, g, options.order_policy).value();
+  const Cst cst = BuildCst(q, g, order.root).value();
+  const auto kernel_samples = [&](const obs::ProfileSnapshot& before,
+                                  const std::string& path) {
+    const obs::ProfileSnapshot delta =
+        obs::DeltaProfile(before, profiler->Snapshot());
+    std::uint64_t samples = 0;
+    for (const auto& b : delta.buckets) {
+      if (b.kind == obs::ThreadKind::kWorker && b.path == path) {
+        samples = b.samples;
+      }
+    }
+    return samples;
+  };
+
+  CompiledPlan plan;
+  obs::ProfileSnapshot before = profiler->Snapshot();
   {
     FAST_PROF_STAGE("match");
-    ASSERT_EQ(RunFast(PaperQuery(), PaperDataGraph(), options).value().embeddings,
+    ASSERT_EQ(RunFastWithCst(cst, order, options, 0.0, &plan).value().embeddings,
               2u);
   }
-  const obs::ProfileSnapshot delta =
-      obs::DeltaProfile(before, profiler->Snapshot());
-  std::uint64_t kernel_samples = 0;
-  for (const auto& b : delta.buckets) {
-    if (b.kind == obs::ThreadKind::kWorker && b.path == "match;kernel") {
-      kernel_samples = b.samples;
-    }
+  EXPECT_EQ(kernel_samples(before, "match;partition;kernel"), 2u);
+
+  before = profiler->Snapshot();
+  {
+    FAST_PROF_STAGE("match");
+    ASSERT_EQ(RunCompiledPlan(plan, options).value().embeddings, 2u);
   }
-  EXPECT_EQ(kernel_samples, 2u);
+  EXPECT_EQ(kernel_samples(before, "match;kernel"), 2u);
+  EXPECT_EQ(kernel_samples(before, "match;partition;kernel"), 0u);
 }
 
 TEST(DriverTest, RejectsBadDelta) {

@@ -149,6 +149,33 @@ TEST(PartitionTest, TinyBudgetTerminatesViaOversizedEmission) {
   EXPECT_GT(stats.num_oversized, 0u);
 }
 
+// A partition is sized exactly: a 1/k split that kept its parent's capacity
+// would hold up to k times its footprint for as long as a plan is cached.
+TEST(PartitionTest, PartitionArraysHaveExactCapacity) {
+  const Graph g = SmallLdbcGraph();
+  std::size_t split = 0;
+  for (int qi = 0; qi < kNumLdbcQueries; ++qi) {
+    const QueryGraph q = LdbcQuery(qi).value();
+    auto order = ComputeMatchingOrder(q, g, OrderPolicy::kPathBased).value();
+    Cst cst = BuildCst(q, g, order.root).value();
+    PartitionConfig config;
+    config.max_size_words = 512;  // a small BRAM
+    auto parts = PartitionCstToVector(cst, order, config).value();
+    if (parts.size() > 1) ++split;
+    const std::size_t slots = cst.layout().edges().size();
+    for (const Cst& p : parts) {
+      for (std::size_t s = 0; s < slots; ++s) {
+        const CstEdgeList& el = p.EdgeList(static_cast<int>(s));
+        EXPECT_EQ(el.targets.capacity(), el.targets.size())
+            << q.name() << " slot " << s;
+        EXPECT_EQ(el.offsets.capacity(), el.offsets.size())
+            << q.name() << " slot " << s;
+      }
+    }
+  }
+  EXPECT_GE(split, 5u);  // the budget really splits most queries
+}
+
 // Property sweep over LDBC queries and budgets: partitioning preserves the
 // exact embedding count and respects thresholds.
 class PartitionPropertyTest

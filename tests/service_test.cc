@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/driver.h"
 #include "obs/accounting.h"
 #include "obs/metrics.h"
 #include "service/match_service.h"
@@ -164,7 +165,7 @@ TEST(QuerySignatureTest, CanonicalQueryPreservesStructure) {
 
 TEST(PlanCacheTest, LruEvictionOrder) {
   PlanCache cache(2);
-  auto plan = std::make_shared<service::CachedPlan>();
+  auto plan = std::make_shared<CompiledPlan>();
   cache.Insert("a", 1, plan);
   cache.Insert("b", 1, plan);
   EXPECT_NE(cache.Lookup("a", 1), nullptr);  // refresh a; b is now LRU
@@ -179,14 +180,14 @@ TEST(PlanCacheTest, LruEvictionOrder) {
 
 TEST(PlanCacheTest, ZeroCapacityDisables) {
   PlanCache cache(0);
-  cache.Insert("a", 1, std::make_shared<service::CachedPlan>());
+  cache.Insert("a", 1, std::make_shared<CompiledPlan>());
   EXPECT_EQ(cache.Lookup("a", 1), nullptr);
   EXPECT_EQ(cache.stats().entries, 0u);
 }
 
 TEST(PlanCacheTest, EpochMismatchMissesAndDropsEntry) {
   PlanCache cache(4);
-  auto plan = std::make_shared<service::CachedPlan>();
+  auto plan = std::make_shared<CompiledPlan>();
   cache.Insert("a", 1, plan);
   EXPECT_NE(cache.Lookup("a", 1), nullptr);
   // A plan built on epoch 1 must never serve epoch 2, and the dead entry is
@@ -204,13 +205,13 @@ TEST(PlanCacheTest, OldEpochRequestCannotDisturbNewerEntry) {
   // lookup must miss without evicting the fresh entry, and its insert must
   // not overwrite it.
   PlanCache cache(4);
-  auto fresh = std::make_shared<service::CachedPlan>();
+  auto fresh = std::make_shared<CompiledPlan>();
   cache.Insert("a", 2, fresh);
   EXPECT_EQ(cache.Lookup("a", 1), nullptr);
   EXPECT_EQ(cache.stats().entries, 1u);  // still there
   EXPECT_EQ(cache.stats().invalidations, 0u);
 
-  auto stale = std::make_shared<service::CachedPlan>();
+  auto stale = std::make_shared<CompiledPlan>();
   cache.Insert("a", 1, stale);
   EXPECT_EQ(cache.Lookup("a", 2), fresh);  // epoch-2 plan survived
 }
@@ -220,7 +221,7 @@ TEST(PlanCacheTest, StaleInsertAfterInvalidateCannotEvictLiveEntries) {
   // epoch finishes its build late. Its insert (a key not in the cache) must
   // be dropped, not evict a live plan from the LRU tail.
   PlanCache cache(2);
-  auto plan = std::make_shared<service::CachedPlan>();
+  auto plan = std::make_shared<CompiledPlan>();
   cache.Insert("a", 2, plan);
   cache.Insert("b", 2, plan);
   cache.InvalidateBefore(2);
@@ -231,59 +232,85 @@ TEST(PlanCacheTest, StaleInsertAfterInvalidateCannotEvictLiveEntries) {
   EXPECT_EQ(cache.stats().evictions, 0u);
 }
 
-std::shared_ptr<service::CachedPlan> PlanWithImageWords(std::size_t words) {
-  auto p = std::make_shared<service::CachedPlan>();
-  p->cst_image.assign(words, 0);
+// The paper query's whole CST as one partition: the unit the byte-budget
+// tests size plans in.
+const CompiledPartition& UnitPartition() {
+  static const CompiledPartition part = [] {
+    const Graph g = PaperDataGraph();
+    const QueryGraph q = PaperQuery();
+    auto order = ComputeMatchingOrder(q, g, OrderPolicy::kPathBased);
+    FAST_CHECK(order.ok());
+    auto cst = BuildCst(q, g, order->root);
+    FAST_CHECK(cst.ok());
+    return CompilePartition(*std::move(cst));
+  }();
+  return part;
+}
+
+std::size_t UnitBytes() { return UnitPartition().cst->SizeBytes(); }
+
+// A plan of `card` card partitions and `host` host-kept ones, all the unit.
+std::shared_ptr<CompiledPlan> PlanOfUnits(std::size_t card,
+                                          std::size_t host = 0) {
+  auto p = std::make_shared<CompiledPlan>();
+  p->fpga.assign(card, UnitPartition());
+  p->cpu.assign(host, UnitPartition().cst);
   return p;
 }
 
 TEST(PlanCacheTest, ByteBudgetEvictsLruBeyondBytes) {
-  // Entry capacity 8 never binds here; the 400-byte budget does.
-  PlanCache cache(8, /*byte_budget=*/100 * sizeof(std::uint32_t));
-  cache.Insert("a", 1, PlanWithImageWords(40));
-  cache.Insert("b", 1, PlanWithImageWords(40));
-  EXPECT_NE(cache.Lookup("a", 1), nullptr);      // refresh a; b becomes LRU
-  cache.Insert("c", 1, PlanWithImageWords(40));  // 480B > 400B: evict b
+  // Entry capacity 8 never binds here; the 10-unit budget does.
+  ASSERT_GT(UnitBytes(), 0u);
+  PlanCache cache(8, /*byte_budget=*/10 * UnitBytes());
+  EXPECT_TRUE(cache.Insert("a", 1, PlanOfUnits(4)));
+  EXPECT_TRUE(cache.Insert("b", 1, PlanOfUnits(4)));
+  EXPECT_NE(cache.Lookup("a", 1), nullptr);        // refresh a; b becomes LRU
+  EXPECT_TRUE(cache.Insert("c", 1, PlanOfUnits(4)));  // 12 > 10 units: evict b
   EXPECT_EQ(cache.Lookup("b", 1), nullptr);
   EXPECT_NE(cache.Lookup("a", 1), nullptr);
   EXPECT_NE(cache.Lookup("c", 1), nullptr);
   const auto stats = cache.stats();
   EXPECT_EQ(stats.evictions, 1u);
   EXPECT_EQ(stats.entries, 2u);
-  EXPECT_EQ(stats.bytes_in_use, 80 * sizeof(std::uint32_t));
-  EXPECT_EQ(stats.byte_budget, 100 * sizeof(std::uint32_t));
+  EXPECT_EQ(stats.bytes_in_use, 8 * UnitBytes());
+  EXPECT_EQ(stats.byte_budget, 10 * UnitBytes());
 }
 
-TEST(PlanCacheTest, OversizedPlanDemotedToOrderOnly) {
-  // A single image larger than the whole budget must not wipe the cache to
-  // admit itself — but the matching order (a few words) is kept, so a hit
-  // still skips order computation.
-  PlanCache cache(8, /*byte_budget=*/100 * sizeof(std::uint32_t));
-  cache.Insert("small", 1, PlanWithImageWords(30));
-  auto big = PlanWithImageWords(200);
-  big->order.root = 3;
-  big->order.order = {3, 1, 2, 0};
-  cache.Insert("big", 1, big);
-
-  auto hit = cache.Lookup("big", 1);
-  ASSERT_NE(hit, nullptr);
-  EXPECT_TRUE(hit->order_only());
-  EXPECT_EQ(hit->order.root, 3u);
-  EXPECT_EQ(hit->order.order, big->order.order);
-  EXPECT_NE(cache.Lookup("small", 1), nullptr);  // untouched, full image
-  EXPECT_FALSE(cache.Lookup("small", 1)->order_only());
+TEST(PlanCacheTest, OversizedPlanIsNotCached) {
+  // A single plan larger than the whole budget must not wipe the cache to
+  // admit itself: it is rejected, and the live entries stay.
+  PlanCache cache(8, /*byte_budget=*/10 * UnitBytes());
+  EXPECT_TRUE(cache.Insert("small", 1, PlanOfUnits(3)));
+  EXPECT_FALSE(cache.Insert("big", 1, PlanOfUnits(8, 3)));  // 11 units
+  EXPECT_EQ(cache.Lookup("big", 1), nullptr);
+  EXPECT_NE(cache.Lookup("small", 1), nullptr);
 
   const auto stats = cache.stats();
-  EXPECT_EQ(stats.entries, 2u);
+  EXPECT_EQ(stats.entries, 1u);
   EXPECT_EQ(stats.rejected_oversized, 1u);
-  EXPECT_EQ(stats.order_only_hits, 1u);
-  // Order-only entries carry no image bytes: only "small" counts.
-  EXPECT_EQ(stats.bytes_in_use, 30 * sizeof(std::uint32_t));
+  EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_EQ(stats.bytes_in_use, 3 * UnitBytes());
+}
+
+TEST(PlanCacheTest, BytesInUseIsPartitionBytesOfCachedPlans) {
+  PlanCache cache(8, /*byte_budget=*/100 * UnitBytes());
+  // Host-kept partitions count like card partitions.
+  ASSERT_TRUE(cache.Insert("a", 1, PlanOfUnits(2, 1)));
+  ASSERT_TRUE(cache.Insert("b", 1, PlanOfUnits(5)));
+  EXPECT_EQ(cache.stats().bytes_in_use, 8 * UnitBytes());
+  EXPECT_EQ(PlanOfUnits(2, 1)->SizeBytes(), 3 * UnitBytes());
+  // Replacing an entry swaps its bytes.
+  ASSERT_TRUE(cache.Insert("a", 1, PlanOfUnits(1)));
+  EXPECT_EQ(cache.stats().bytes_in_use, 6 * UnitBytes());
+  // Dropping entries releases them.
+  cache.InvalidateBefore(2);
+  EXPECT_EQ(cache.stats().bytes_in_use, 0u);
+  EXPECT_EQ(cache.stats().entries, 0u);
 }
 
 TEST(PlanCacheTest, InvalidateBeforeDropsOldEpochsOnly) {
   PlanCache cache(8);
-  auto plan = std::make_shared<service::CachedPlan>();
+  auto plan = std::make_shared<CompiledPlan>();
   cache.Insert("a", 1, plan);
   cache.Insert("b", 2, plan);
   cache.Insert("c", 3, plan);
@@ -496,30 +523,62 @@ TEST(MatchServiceTest, DeadlineExpiringMidRunAbortsMatching) {
   EXPECT_EQ(ok->run.embeddings, 30u);
 }
 
-TEST(MatchServiceTest, OrderOnlyCacheHitRebuildsCstCorrectly) {
+TEST(MatchServiceTest, OversizedPlanIsAMissEveryTime) {
   const Graph g = PaperDataGraph();
   const QueryGraph q = PaperQuery();
   ServiceOptions options = SmallServiceOptions(2);
-  options.plan_cache_byte_budget = 8;  // every image oversized → order-only
+  options.plan_cache_byte_budget = 8;  // every plan is over the budget
   MatchService svc(g, options);
 
-  auto miss = svc.SubmitAndWait(q);
-  ASSERT_TRUE(miss.ok());
-  EXPECT_FALSE(miss->cache_hit);
-
-  auto hit = svc.SubmitAndWait(q);
-  ASSERT_TRUE(hit.ok());
-  EXPECT_TRUE(hit->cache_hit);
-  EXPECT_EQ(hit->run.embeddings, BruteForceCount(q, g));
-  EXPECT_EQ(hit->run.order.order, miss->run.order.order);  // cached order
-  // The CST was rebuilt, not deserialized: build time is real again.
-  EXPECT_GT(hit->run.build_seconds, 0.0);
+  for (int i = 0; i < 3; ++i) {
+    auto r = svc.SubmitAndWait(q);
+    ASSERT_TRUE(r.ok());
+    EXPECT_FALSE(r->cache_hit);
+    EXPECT_EQ(r->run.embeddings, BruteForceCount(q, g));
+    EXPECT_GT(r->run.build_seconds, 0.0);  // built afresh each time
+    EXPECT_EQ(r->plan_bytes_charged, 0u);  // nothing was cached
+  }
 
   const auto stats = svc.stats();
-  EXPECT_EQ(stats.cache.rejected_oversized, 1u);
-  EXPECT_EQ(stats.cache.order_only_hits, 1u);
-  EXPECT_EQ(stats.cache.entries, 1u);
-  EXPECT_EQ(stats.cache.bytes_in_use, 0u);  // order-only carries no image
+  EXPECT_EQ(stats.cache.rejected_oversized, 3u);
+  EXPECT_EQ(stats.cache.hits, 0u);
+  EXPECT_EQ(stats.cache.misses, 3u);
+  EXPECT_EQ(stats.cache.entries, 0u);
+  EXPECT_EQ(stats.cache.bytes_in_use, 0u);
+}
+
+TEST(MatchServiceTest, CacheBytesEqualCachedPlanPartitionBytes) {
+  const Graph g = PaperDataGraph();
+  const ServiceOptions options = SmallServiceOptions(2);
+  MatchService svc(g, options);
+
+  std::uint64_t charged = 0;
+  std::size_t expected = 0;
+  for (const QueryGraph& q : {PaperQuery(), TriangleQuery(), PathQuery()}) {
+    auto r = svc.SubmitAndWait(q);
+    ASSERT_TRUE(r.ok());
+    ASSERT_FALSE(r->cache_hit);
+    charged += r->plan_bytes_charged;
+
+    // The same plan recorded directly: Σ SizeBytes() of its partitions.
+    auto canonical = CanonicalizeQuery(q);
+    ASSERT_TRUE(canonical.ok());
+    auto order = ComputeMatchingOrder(canonical->query, g, options.run.order_policy);
+    ASSERT_TRUE(order.ok());
+    auto cst = BuildCst(canonical->query, g, order->root, options.run.cst_build);
+    ASSERT_TRUE(cst.ok());
+    CompiledPlan plan;
+    ASSERT_TRUE(RunFastWithCst(*cst, *order, options.run, 0.0, &plan).ok());
+    std::size_t bytes = 0;
+    for (const CompiledPartition& p : plan.fpga) bytes += p.cst->SizeBytes();
+    EXPECT_EQ(bytes, plan.SizeBytes());
+    expected += bytes;
+  }
+  const auto stats = svc.stats();
+  EXPECT_EQ(stats.cache.entries, 3u);
+  EXPECT_GT(expected, 0u);
+  EXPECT_EQ(stats.cache.bytes_in_use, expected);
+  EXPECT_EQ(charged, expected);
 }
 
 ServiceOptions DeviceServiceOptions(std::size_t workers) {
