@@ -10,7 +10,7 @@
 // --json FILE writes the two phases as a machine-readable summary (the CI
 // smoke step uploads it as the BENCH_service.json workflow artifact).
 //
-// Runs the same repeated-query workload twice — plan/CST cache enabled and
+// Runs the same repeated-query workload twice — plan cache enabled and
 // disabled — and prints both, so the cache's effect on throughput is part of
 // the benchmark output. Unlike the per-figure binaries this is a plain
 // binary (no google-benchmark): the quantity under test is sustained service

@@ -1,5 +1,5 @@
 // fast_serve: serve a stream of subgraph-matching queries from a worker pool
-// over one shared data graph, with the plan/CST cache in front of the
+// over one shared data graph, with the plan cache in front of the
 // pipeline (src/service/).
 //
 // Replay mode (default): submit a query mix for a fixed duration from
@@ -964,7 +964,7 @@ int Run(int argc, char** argv) {
   std::printf("rejected:    queue_full=%llu deadline=%llu\n",
               static_cast<unsigned long long>(stats.rejected_queue_full),
               static_cast<unsigned long long>(stats.rejected_deadline));
-  std::printf("plan cache:  hit_rate=%.1f%% entries=%zu image=%.1fKiB "
+  std::printf("plan cache:  hit_rate=%.1f%% entries=%zu bytes=%.1fKiB "
               "evictions=%llu invalidations=%llu\n",
               stats.cache.HitRate() * 100.0, stats.cache.entries,
               static_cast<double>(stats.cache.bytes_in_use) / 1024.0,
