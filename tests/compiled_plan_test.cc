@@ -24,7 +24,6 @@ namespace {
 
 using service::MatchService;
 using service::RequestOptions;
-using service::RequestResult;
 using service::ServiceOptions;
 using testing::BruteForceCount;
 using testing::SmallLdbcGraph;
