@@ -249,6 +249,53 @@ TEST(MultiFpgaTest, MoreDevicesNeverSlower) {
   EXPECT_LE(busiest4, busiest1 + 1e-12);
 }
 
+// Golden multi-card placement: partition count, embeddings and each card's
+// simulated busy seconds, pinned bit for bit. Alg. 2, the least-estimated-
+// workload assignment and the per-partition kernel + PCIe model are all
+// deterministic, so any drift in how partitions reach the cards shows here.
+TEST(MultiFpgaTest, GoldenPartitionsEmbeddingsAndCardSeconds) {
+  struct Golden {
+    int query;
+    std::size_t cards;
+    std::size_t num_partitions;
+    std::uint64_t embeddings;
+    std::vector<double> device_seconds;
+  };
+  const std::vector<Golden> golden = {
+      {2, 1, 21, 1698, {0.00011576616666666666}},
+      {2, 2, 21, 1698, {5.6353500000000002e-05, 5.9412666666666661e-05}},
+      {2, 4, 21, 1698,
+       {2.4512666666666667e-05, 2.9941833333333332e-05, 3.3204333333333337e-05,
+        2.8107333333333331e-05}},
+      {5, 1, 5, 84, {1.3331999999999999e-05}},
+      {5, 2, 5, 84, {1.1899833333333333e-05, 1.4321666666666668e-06}},
+      {5, 4, 5, 84,
+       {9.9839999999999996e-06, 1.4321666666666668e-06, 6.7250000000000002e-07,
+        1.2433333333333334e-06}},
+      {8, 1, 41, 6956, {0.0003355446666666666}},
+      {8, 2, 41, 6956, {0.00019199383333333339, 0.00014355083333333332}},
+      {8, 4, 41, 6956,
+       {9.2885833333333331e-05, 6.3582166666666662e-05, 8.839983333333332e-05,
+        9.0676833333333326e-05}},
+  };
+  const Graph g = SmallLdbcGraph(0.2);
+  FastRunOptions options;
+  options.partition.max_size_words = 1024;
+  for (const Golden& want : golden) {
+    SCOPED_TRACE("q" + std::to_string(want.query) + " on " +
+                 std::to_string(want.cards) + " cards");
+    const QueryGraph q = LdbcQuery(want.query).value();
+    auto r = RunMultiFpga(q, g, want.cards, options);
+    ASSERT_TRUE(r.ok()) << r.status();
+    EXPECT_EQ(r->num_partitions, want.num_partitions);
+    EXPECT_EQ(r->embeddings, want.embeddings);
+    ASSERT_EQ(r->device_seconds.size(), want.cards);
+    for (std::size_t c = 0; c < want.cards; ++c) {
+      EXPECT_EQ(r->device_seconds[c], want.device_seconds[c]) << "card " << c;
+    }
+  }
+}
+
 TEST(MultiFpgaTest, WorkSpreadsAcrossDevices) {
   Graph g = SmallLdbcGraph(0.2);
   QueryGraph q = LdbcQuery(2).value();
