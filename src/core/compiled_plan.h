@@ -7,12 +7,12 @@
 //
 // Partitions depend only on (order, CST, partition config, δ), and the CST
 // only on (query, graph snapshot), so under one pipeline configuration a plan
-// is a pure function of (query, graph epoch). The miss path records it while
-// Alg. 2 runs (RunFastWithCst / device::RunCstOnDevice with a non-null
-// `compiled`): every partition is still matched or enqueued the moment it is
-// emitted, so partitioning keeps overlapping matching. A later run replays
-// it (RunCompiledPlan / device::RunPlanOnDevice) with no CST build and no
-// re-partition.
+// is a pure function of (query, graph epoch). The pipeline (core/driver.h)
+// records it on a miss while Alg. 2 runs (RunFast / RunFastWithCst with a
+// non-null `record`): every partition is still handed to the placement the
+// moment it is emitted, so partitioning keeps overlapping matching. A later
+// run replays it (RunFast with a non-null `cached`) through any placement,
+// with no CST build and no re-partition.
 //
 // A plan is immutable once recorded. Partitions are shared_ptr<const Cst>, so
 // any number of concurrent requests, and the device thread, read the same
@@ -48,8 +48,8 @@ struct CompiledPlan {
   std::vector<CompiledPartition> fpga;
   PartitionStats partition_stats;
 
-  // Alg. 3 split (inline placement with cpu_share_delta > 0): the CSTs the
-  // host keeps, and the estimated workloads W_C (host) and W_F (card).
+  // Alg. 3 split (cpu_share_delta > 0): the CSTs the host keeps, and the
+  // estimated workloads W_C (host) and W_F (card).
   std::vector<std::shared_ptr<const Cst>> cpu;
   double w_cpu = 0.0;
   double w_fpga = 0.0;

@@ -1,21 +1,39 @@
 #ifndef FAST_CORE_DRIVER_H_
 #define FAST_CORE_DRIVER_H_
 
-// Host-side driver: the end-to-end CPU-FPGA flow of Fig. 2.
+// Host-side driver: the one pipeline that runs the CPU-FPGA flow of Fig. 2.
 //
-//  (1) build the CST on the CPU (Alg. 1)
-//  (2) partition it to fit BRAM (Alg. 2)
+//  (1) compute the matching order and build the CST on the CPU (Alg. 1)
+//  (2) partition it to fit BRAM (Alg. 2); FAST-DRAM keeps one partition
 //  (3) stream partitions over PCIe to card DRAM
 //  (4) the kernel loads each partition into BRAM and matches it (Algs. 4-8)
 //  (5) optionally keep a δ-share of the workload on the CPU (Alg. 3)
 //  (6) collect results
 //
-// Host-side times (CST construction, partitioning, CPU share) are measured
-// wall-clock; kernel and PCIe times are simulated by the device model. The
-// paper overlaps partitioning with kernel execution, and the CPU share runs
-// after partitioning finishes, so:
+// Steps (3)-(4) belong to a CardPlacement; the pipeline does the rest. On a
+// plan miss it runs (1)-(2) and hands each partition to the placement the
+// moment Alg. 2 emits it, so partitioning overlaps matching on the card; it
+// can record the partitions into a CompiledPlan as they go. On a plan hit it
+// hands the recorded partitions over in their recorded order. Either way the
+// host share runs after the placement has drained, then the result composes.
+// Placements:
 //
-//   total = build + max(partition + cpu_share, pcie + kernel)
+//   InlinePlacement     a card private to the run, matched on the calling
+//                       thread; analytic timing (SimulatedKernelSeconds)
+//   N offline cards     each partition to the card with the least estimated
+//                       workload (Sec. VII-E; RunMultiFpga)
+//   device::DevicePlacement  the shared device executor: partitions of many
+//                       requests batched into rounds timed per round
+//
+// Host-side times (CST construction, partitioning, CPU share) are measured
+// wall-clock; kernel and PCIe times are simulated by the placement's device
+// model. The paper overlaps partitioning with kernel execution, and the CPU
+// share runs after partitioning finishes, so:
+//
+//   total = build + max(partition + cpu_share, card)
+//
+// where card is pcie + kernel for one card and the busiest card's
+// kernel + PCIe seconds for N cards.
 
 #include <cstdint>
 #include <functional>
@@ -70,10 +88,11 @@ struct FastRunOptions {
   // token alive for the duration of the run. nullptr = never cancelled.
   const CancelToken* cancel = nullptr;
 
-  // Optional per-request span recorder (obs/trace.h). RunFastWithCst records
-  // a wall `match` span over partition + matching + CPU share, plus the
-  // simulated `dma`/`kernel` durations from the device model. The service
-  // layers record the surrounding spans (queue, snapshot, cst_build, remap).
+  // Optional per-request span recorder (obs/trace.h). The pipeline records
+  // `cst_build` on a miss, its placement's wall spans (`match` inline;
+  // `device_wait` then `reassembly` on the shared device) and the simulated
+  // `dma`/`kernel` durations from the device model. The service layers
+  // record the surrounding spans (queue, snapshot, plan_lookup, remap).
   // Non-owning; single-threaded like the run itself. nullptr = no tracing.
   obs::RequestTrace* trace = nullptr;
 };
@@ -111,52 +130,124 @@ struct FastRunResult {
   std::vector<Embedding> sample_embeddings;
 };
 
-// Runs the full FAST pipeline for query q over data graph g.
+// Where the pipeline sends card partitions: steps (3)-(4) on one device
+// model. The pipeline cuts partitions to fpga()'s BRAM budget and skips
+// partitioning when variant() is FAST-DRAM. A placement serves one run at a
+// time: Begin, any number of Place calls, then Drain.
+class CardPlacement {
+ public:
+  // `wait_span` is the wall span (and profiler stage of the same name) over
+  // placing and draining; `tail_span` covers the host share and composition
+  // after the drain (the same span when they are one phase).
+  CardPlacement(const FpgaConfig& fpga, FastVariant variant,
+                obs::Span wait_span, obs::Span tail_span)
+      : fpga_(fpga), variant_(variant), wait_span_(wait_span),
+        tail_span_(tail_span) {}
+  virtual ~CardPlacement() = default;
+
+  const FpgaConfig& fpga() const { return fpga_; }
+  FastVariant variant() const { return variant_; }
+  obs::Span wait_span() const { return wait_span_; }
+  obs::Span tail_span() const { return tail_span_; }
+
+  // Opens a run. Matched partitions report embeddings to `collector` and
+  // fold counters, embeddings, fpga_partitions, dma_bytes and the simulated
+  // kernel/PCIe seconds into `*result`, all by the time Drain returns.
+  virtual void Begin(const MatchingOrder& order, ResultCollector* collector,
+                     const CancelToken* cancel, FastRunResult* result) = 0;
+  // (3)+(4) for one partition. The partition stays readable until Drain
+  // returns.
+  virtual Status Place(const CompiledPartition& part) = 0;
+  // Waits until every placed partition is matched. The pipeline calls it
+  // even after a failed Place, so queued work is reaped before the
+  // collector goes away.
+  virtual Status Drain() = 0;
+  // The simulated card time the host path overlaps.
+  virtual double CardSeconds(const FastRunResult& r) const {
+    return r.pcie_seconds + r.kernel_seconds;
+  }
+
+ private:
+  const FpgaConfig& fpga_;
+  const FastVariant variant_;
+  const obs::Span wait_span_;
+  const obs::Span tail_span_;
+};
+
+// A card private to the run: each partition crosses PCIe and runs through
+// the kernel on the calling thread, its time from the analytic cycle model.
+// Uses options.fpga and options.variant. Records one wall `match` span.
+class InlinePlacement : public CardPlacement {
+ public:
+  explicit InlinePlacement(const FastRunOptions& options)
+      : CardPlacement(options.fpga, options.variant, obs::Span::kMatch,
+                      obs::Span::kMatch) {}
+
+  void Begin(const MatchingOrder& order, ResultCollector* collector,
+             const CancelToken* cancel, FastRunResult* result) override;
+  Status Place(const CompiledPartition& part) override {
+    return MatchOnCard(part).status();
+  }
+  Status Drain() override { return Status::OK(); }
+
+ protected:
+  // Matches one partition and returns its simulated kernel + PCIe seconds.
+  StatusOr<double> MatchOnCard(const CompiledPartition& part);
+
+ private:
+  const MatchingOrder* order_ = nullptr;
+  ResultCollector* collector_ = nullptr;
+  const CancelToken* cancel_ = nullptr;
+  FastRunResult* result_ = nullptr;
+};
+
+// Runs the pipeline for query q over data graph g.
+//
+// With `cached` null this is a miss: steps (1)-(6), with one `cst_build`
+// span and profiler stage over order computation and CST construction. A
+// non-null `record` then records the run's plan (core/compiled_plan.h): the
+// order, every partition as Alg. 2 emits it (each is placed as soon as it
+// is emitted, exactly as without recording), the partition stats and the
+// Alg. 3 split. The recording is complete only when the call returns OK.
+//
+// With `cached` non-null this is a hit: steps (3)-(6) from a plan recorded
+// under the same options and placement kind; q and g are not read. The
+// cached partitions go to the placement in their recorded order and the
+// recorded host share runs on the CPU, so embeddings, counters, simulated
+// seconds, partition stats and the Alg. 3 split equal the recording run's.
+// build_seconds and partition_seconds are 0.
+//
+// A null `placement` runs inline (InlinePlacement over options).
 //
 // Reentrancy: RunFast keeps all state on the stack (no globals, no shared
 // mutable caches), so concurrent calls over the same immutable Graph are
 // safe. The service layer (src/service/) relies on this.
 StatusOr<FastRunResult> RunFast(const QueryGraph& q, const Graph& g,
-                                const FastRunOptions& options = {});
+                                const FastRunOptions& options = {},
+                                CardPlacement* placement = nullptr,
+                                const CompiledPlan* cached = nullptr,
+                                CompiledPlan* record = nullptr);
 
-// Runs steps (2)-(6) of the pipeline from a prebuilt CST and matching order,
-// skipping order computation and CST construction. This is the plan-miss
-// path of the service layer. `order` must be tree-connected with order.root
-// equal to the CST's BFS-tree root. `build_seconds` is reported in the result
-// (pass the measured construction time). `options.explicit_order` and
+// The miss path from a prebuilt CST and matching order: steps (2)-(6) as in
+// RunFast. `order` must be tree-connected with order.root equal to the CST's
+// BFS-tree root. `build_seconds` is reported in the result (pass the
+// measured construction time). `options.explicit_order` and
 // `options.order_policy` are ignored.
-//
-// A non-null `compiled` records the run's plan (core/compiled_plan.h): the
-// order, every partition as Alg. 2 emits it (each is matched as soon as it
-// is emitted, exactly as without recording), the partition stats and the
-// Alg. 3 split. The recording is complete only when the call returns OK.
-//
-// This call simulates a device PRIVATE to the request: partitions match
-// inline on the calling thread and every call pays its own PCIe transfers.
-// device/device_executor.h's RunCstOnDevice is the shared-device sibling —
-// the same steps, with partitions batched onto one executor across
-// concurrent requests.
 StatusOr<FastRunResult> RunFastWithCst(const Cst& cst, const MatchingOrder& order,
                                        const FastRunOptions& options = {},
                                        double build_seconds = 0.0,
-                                       CompiledPlan* compiled = nullptr);
-
-// Runs steps (3)-(6) from a plan recorded by RunFastWithCst under the same
-// options: the plan-hit path. The cached partitions are matched in their
-// recorded order and the recorded host share runs on the CPU, so
-// embeddings, counters, simulated seconds, partition stats and the Alg. 3
-// split equal the recording run's. Nothing is built or partitioned:
-// build_seconds and partition_seconds are 0.
-StatusOr<FastRunResult> RunCompiledPlan(const CompiledPlan& plan,
-                                        const FastRunOptions& options = {});
+                                       CompiledPlan* record = nullptr,
+                                       CardPlacement* placement = nullptr);
 
 // Effective partition thresholds for a device (δ_S, δ_D derivation).
 PartitionConfig DerivePartitionConfig(const FpgaConfig& fpga, std::size_t query_size,
                                       const PartitionConfig& requested);
 
-// Multi-FPGA extension (Sec. VII-E): partitions are assigned to the device
-// with the minimum accumulated estimated workload; the makespan composes with
-// the shared host-side build/partition phases.
+// Multi-FPGA extension (Sec. VII-E): RunFast over N offline cards. Each
+// partition is matched as inline and assigned to the card with the least
+// accumulated estimated workload, whose busy time grows by the partition's
+// kernel + PCIe seconds. The makespan composes the busiest card with the
+// shared host-side build and partition phases.
 struct MultiFpgaResult {
   std::uint64_t embeddings = 0;
   std::size_t num_partitions = 0;

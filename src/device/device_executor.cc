@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstdio>
 #include <deque>
-#include <functional>
 #include <optional>
 #include <set>
 #include <string_view>
@@ -119,8 +118,8 @@ void DeviceExecutor::DropQueue(const std::string& key) {
 }
 
 std::shared_ptr<DeviceQuery> DeviceExecutor::BeginQuery(
-    const std::string& queue_key, std::uint64_t epoch,
-    const std::string& plan_key, const MatchingOrder& order,
+    std::string_view queue_key, std::uint64_t epoch,
+    std::string_view plan_key, const MatchingOrder& order,
     ResultCollector* collector, const CancelToken* cancel) {
   auto query = std::make_shared<DeviceQuery>();
   query->queue_key = queue_key;
@@ -496,121 +495,27 @@ std::vector<obs::TimelineRound> DeviceExecutor::recent_rounds() const {
   return {recent_rounds_.begin(), recent_rounds_.end()};
 }
 
-namespace {
-
-// Shared body of RunCstOnDevice and RunPlanOnDevice: opens a session, lets
-// `feed` enqueue the query's partitions (and fill partition_stats /
-// partition_seconds), waits for the device, and composes the result.
-StatusOr<FastRunResult> RunOnDevice(
-    DeviceExecutor& device, const MatchingOrder& order,
-    const FastRunOptions& options, const std::string& queue_key,
-    std::uint64_t epoch, const std::string& plan_key, double build_seconds,
-    const std::function<Status(const std::shared_ptr<DeviceQuery>&,
-                               FastRunResult*)>& feed) {
-  FAST_RETURN_IF_ERROR(device.options().fpga.Validate());
-  FastRunResult result;
-  result.order = order;
-  result.build_seconds = build_seconds;
-
-  // The collector lives on this thread's stack; only the device thread
+void DevicePlacement::Begin(const MatchingOrder& order,
+                            ResultCollector* collector,
+                            const CancelToken* cancel, FastRunResult* result) {
+  // The collector lives on the pipeline's stack; only the device thread
   // touches it between here and FinishQuery, which synchronizes the handoff
   // back.
-  ResultCollector collector(options.store_limit);
-  if (options.embedding_callback) collector.SetCallback(options.embedding_callback);
-
-  std::shared_ptr<DeviceQuery> session = device.BeginQuery(
-      queue_key, epoch, plan_key, order, &collector, options.cancel);
-
-  // The whole submit-and-wait is this request's wall `device_wait` span —
-  // the time the worker thread spent blocked on shared device rounds.
-  if (options.trace != nullptr) options.trace->Begin(obs::Span::kDeviceWait);
-  FAST_PROF_STAGE("device_wait");
-  const Status feed_status = feed(session, &result);
-
-  // Reap before propagating any feed error: items already queued must be
-  // accounted for even when a later enqueue failed.
-  DeviceQueryResult reaped = device.FinishQuery(session);
-  if (options.trace != nullptr) {
-    options.trace->End();
-    // The simulated device-side attribution of that wait: this query's
-    // amortized PCIe share and its items' kernel occupancy.
-    options.trace->RecordSimulated(obs::Span::kDma, reaped.pcie_seconds);
-    options.trace->RecordSimulated(obs::Span::kKernel, reaped.kernel_seconds);
-  }
-  FAST_RETURN_IF_ERROR(feed_status);
-  FAST_RETURN_IF_ERROR(reaped.status);
-
-  obs::ScopedSpan reassembly_span(options.trace, obs::Span::kReassembly);
-  result.counters = reaped.counters;
-  result.embeddings = reaped.embeddings;
-  result.kernel_seconds = reaped.kernel_seconds;
-  result.pcie_seconds = reaped.pcie_seconds;
-  result.dma_bytes = reaped.dma_bytes;
-  result.fpga_partitions = reaped.items;
-  result.total_seconds =
-      result.build_seconds +
-      std::max(result.partition_seconds,
-               result.pcie_seconds + result.kernel_seconds);
-  result.sample_embeddings = collector.stored();
-  return result;
+  session_ = device_.BeginQuery(queue_key_, epoch_, plan_key_, order,
+                                collector, cancel);
+  result_ = result;
 }
 
-}  // namespace
-
-StatusOr<FastRunResult> RunCstOnDevice(DeviceExecutor& device, const Cst& cst,
-                                       const MatchingOrder& order,
-                                       const FastRunOptions& options,
-                                       const std::string& queue_key,
-                                       std::uint64_t epoch,
-                                       const std::string& plan_key,
-                                       double build_seconds,
-                                       CompiledPlan* compiled) {
-  if (compiled != nullptr) {
-    *compiled = CompiledPlan{};
-    compiled->order = order;
-  }
-  const PartitionConfig pconfig = DerivePartitionConfig(
-      device.options().fpga, cst.NumQueryVertices(), options.partition);
-  return RunOnDevice(
-      device, order, options, queue_key, epoch, plan_key, build_seconds,
-      [&](const std::shared_ptr<DeviceQuery>& session, FastRunResult* result) {
-        // Partitions stream to the device as Alg. 2 emits them, so matching
-        // overlaps the remainder of partitioning exactly as in the driver
-        // path.
-        FAST_PROF_STAGE("partition");
-        Timer partition_timer;
-        const Status status = PartitionCst(
-            cst, order, pconfig,
-            [&](Cst part) -> Status {
-              CompiledPartition shared = CompilePartition(std::move(part));
-              if (compiled != nullptr) compiled->fpga.push_back(shared);
-              return device.EnqueuePartition(session, std::move(shared));
-            },
-            &result->partition_stats);
-        result->partition_seconds = partition_timer.ElapsedSeconds();
-        if (compiled != nullptr) {
-          compiled->partition_stats = result->partition_stats;
-        }
-        return status;
-      });
-}
-
-StatusOr<FastRunResult> RunPlanOnDevice(DeviceExecutor& device,
-                                        const CompiledPlan& plan,
-                                        const FastRunOptions& options,
-                                        const std::string& queue_key,
-                                        std::uint64_t epoch,
-                                        const std::string& plan_key) {
-  return RunOnDevice(
-      device, plan.order, options, queue_key, epoch, plan_key,
-      /*build_seconds=*/0.0,
-      [&](const std::shared_ptr<DeviceQuery>& session, FastRunResult* result) {
-        result->partition_stats = plan.partition_stats;
-        for (const CompiledPartition& part : plan.fpga) {
-          FAST_RETURN_IF_ERROR(device.EnqueuePartition(session, part));
-        }
-        return Status::OK();
-      });
+Status DevicePlacement::Drain() {
+  DeviceQueryResult reaped = device_.FinishQuery(session_);
+  session_.reset();
+  result_->counters = reaped.counters;
+  result_->embeddings = reaped.embeddings;
+  result_->kernel_seconds = reaped.kernel_seconds;
+  result_->pcie_seconds = reaped.pcie_seconds;
+  result_->dma_bytes = reaped.dma_bytes;
+  result_->fpga_partitions = reaped.items;
+  return reaped.status;
 }
 
 }  // namespace fast::device

@@ -22,9 +22,10 @@
 //      └── FinishQuery ◀── per-query reassembly (counters, embeddings,
 //                          simulated kernel/PCIe seconds) ◀──┘
 //
-// The per-worker serving path (service/graph_state.h) simulates a *private*
+// The pipeline's inline placement (core/driver.h) simulates a *private*
 // device per request: every query pays its own PCIe transaction and the card
-// idles between requests. This executor is the FAST co-design applied across
+// idles between requests. DevicePlacement (below) feeds this executor
+// instead; it is the same pipeline with another placement. This executor is the FAST co-design applied across
 // requests: CST partitions from concurrent queries — and concurrent tenants —
 // are batched into device rounds, so the fixed per-DMA-transaction cost
 // (descriptor setup, doorbell, completion — modeled as
@@ -56,6 +57,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -180,9 +182,9 @@ class DeviceExecutor {
   // are bit-identical). `collector` and `cancel` are borrowed; the caller
   // keeps both alive until FinishQuery returns. The collector is only
   // touched from the device thread until then.
-  std::shared_ptr<DeviceQuery> BeginQuery(const std::string& queue_key,
+  std::shared_ptr<DeviceQuery> BeginQuery(std::string_view queue_key,
                                           std::uint64_t epoch,
-                                          const std::string& plan_key,
+                                          std::string_view plan_key,
                                           const MatchingOrder& order,
                                           ResultCollector* collector,
                                           const CancelToken* cancel);
@@ -266,34 +268,40 @@ class DeviceExecutor {
   std::thread device_;  // last member: joins before state is destroyed
 };
 
-// Runs steps (2)-(6) of the FAST pipeline (see core/driver.h) with every
-// partition matched on the shared device executor instead of inline on the
-// calling thread: partitions stream into the executor as Alg. 2 emits them,
-// and the call blocks until the device has matched them all. `queue_key`
-// routes fairness; `epoch`/`plan_key` enable transfer dedup. Differences from
-// RunFastWithCst: the device's FpgaConfig/variant replace options.fpga /
-// options.variant, cpu_share_delta is ignored (the device owns all
-// partitions), and the embedding callback runs on the device thread.
-// total_seconds composes as build + max(partition, pcie + kernel). A non-null
-// `compiled` records the plan as RunFastWithCst does (no host share).
-StatusOr<FastRunResult> RunCstOnDevice(DeviceExecutor& device, const Cst& cst,
-                                       const MatchingOrder& order,
-                                       const FastRunOptions& options,
-                                       const std::string& queue_key,
-                                       std::uint64_t epoch,
-                                       const std::string& plan_key,
-                                       double build_seconds = 0.0,
-                                       CompiledPlan* compiled = nullptr);
+// The shared-device placement of the pipeline (core/driver.h): every card
+// partition of the run is enqueued on `device` as it is emitted or
+// replayed, batched with other requests' partitions into device rounds and
+// timed per round, and Drain blocks until the device has matched them all.
+// The device's FpgaConfig/variant replace options.fpga/options.variant, and
+// the embedding callback runs on the device thread. `queue_key` routes
+// fairness; `epoch`/`plan_key` enable transfer dedup. Wall spans:
+// `device_wait` over partitioning, enqueueing and the wait, then
+// `reassembly` over the host share and composition. The keys are borrowed
+// for the placement's lifetime.
+class DevicePlacement : public CardPlacement {
+ public:
+  DevicePlacement(DeviceExecutor& device, std::string_view queue_key,
+                  std::uint64_t epoch, std::string_view plan_key)
+      : CardPlacement(device.options().fpga, device.options().variant,
+                      obs::Span::kDeviceWait, obs::Span::kReassembly),
+        device_(device), queue_key_(queue_key), epoch_(epoch),
+        plan_key_(plan_key) {}
 
-// The plan-hit sibling of RunCstOnDevice: enqueues a recorded plan's
-// partitions, shared and in their recorded order, with no CST build and no
-// re-partition. build_seconds and partition_seconds are 0.
-StatusOr<FastRunResult> RunPlanOnDevice(DeviceExecutor& device,
-                                        const CompiledPlan& plan,
-                                        const FastRunOptions& options,
-                                        const std::string& queue_key,
-                                        std::uint64_t epoch,
-                                        const std::string& plan_key);
+  void Begin(const MatchingOrder& order, ResultCollector* collector,
+             const CancelToken* cancel, FastRunResult* result) override;
+  Status Place(const CompiledPartition& part) override {
+    return device_.EnqueuePartition(session_, part);
+  }
+  Status Drain() override;
+
+ private:
+  DeviceExecutor& device_;
+  const std::string_view queue_key_;
+  const std::uint64_t epoch_;
+  const std::string_view plan_key_;
+  std::shared_ptr<DeviceQuery> session_;
+  FastRunResult* result_ = nullptr;
+};
 
 }  // namespace fast::device
 

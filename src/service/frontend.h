@@ -94,8 +94,9 @@ struct CommonServingOptions {
   // Shared-device mode (device/device_executor.h): workers decompose each
   // request into CST-partition work items on ONE device executor, which
   // batches items from concurrent requests (and tenants) into shared device
-  // rounds. The executor simulates run.fpga under run.variant;
-  // run.cpu_share_delta is ignored in this mode.
+  // rounds. The executor simulates run.fpga under run.variant; with
+  // run.cpu_share_delta > 0 the worker keeps the Alg. 3 host share and
+  // matches it once the device has drained the request's partitions.
   bool device_mode = false;
   device::DeviceOptions device;
 

@@ -6,8 +6,6 @@
 
 #include "device/device_executor.h"
 #include "obs/profiler.h"
-#include "query/matching_order.h"
-#include "util/timer.h"
 
 namespace fast::service {
 
@@ -132,8 +130,8 @@ void GraphState::Execute(const CanonicalQuery& canonical,
   run.explicit_order.reset();
   run.store_limit = opts.store_limit;
   run.cancel = cancel;
-  // The pipeline below records its own spans (match / device_wait / the
-  // simulated dma+kernel) through this pointer.
+  // The pipeline below records its own spans (cst_build, match or
+  // device_wait + reassembly, the simulated dma+kernel) through this pointer.
   run.trace = trace;
 
   const std::vector<VertexId>& to_canonical = canonical.to_canonical;
@@ -156,28 +154,38 @@ void GraphState::Execute(const CanonicalQuery& canonical,
     }
   }
 
-  std::shared_ptr<const CompiledPlan> plan;
+  std::shared_ptr<const CompiledPlan> cached;
   if (options_.plan_cache_capacity > 0) {
     if (trace != nullptr) trace->Begin(obs::Span::kPlanLookup);
     {
       FAST_PROF_STAGE("plan_lookup");
-      plan = cache_.Lookup(canonical.key, snap.epoch);
+      cached = cache_.Lookup(canonical.key, snap.epoch);
     }
     if (trace != nullptr) trace->End();
   }
-  StatusOr<FastRunResult> r = Status::Internal("unreachable");
-  if (plan == nullptr) {
-    r = BuildAndRun(canonical, snap, run, device, &result->plan_bytes_charged);
-  } else if (device != nullptr) {
-    // Hit: the cached partitions go straight to matching, no CST build and
-    // no re-partition; on the device they are enqueued shared, not copied.
-    result->cache_hit = true;
-    r = device::RunPlanOnDevice(*device, *plan, run, options_.device_queue_key,
-                                snap.epoch, canonical.key);
-  } else {
-    result->cache_hit = true;
-    FAST_PROF_STAGE("match");
-    r = RunCompiledPlan(*plan, run);
+  result->cache_hit = cached != nullptr;
+  // A hit replays the cached partitions: no CST build, no re-partition, and
+  // on the device they are enqueued shared, not copied. A miss builds the
+  // CST for the canonical query against this request's snapshot and records
+  // its plan as partitions are emitted.
+  auto record = cached == nullptr && options_.plan_cache_capacity > 0
+                    ? std::make_shared<CompiledPlan>()
+                    : nullptr;
+  // Shared-device mode: the canonical key + epoch identify the partitions,
+  // so concurrent requests for the same shape share one PCIe transfer.
+  std::optional<device::DevicePlacement> on_device;
+  if (device != nullptr) {
+    on_device.emplace(*device, options_.device_queue_key, snap.epoch,
+                      canonical.key);
+  }
+  StatusOr<FastRunResult> r =
+      RunFast(canonical.query, *snap.graph, run,
+              on_device.has_value() ? &*on_device : nullptr, cached.get(),
+              record.get());
+  // Only a run that finished has recorded every partition.
+  if (r.ok() && record != nullptr &&
+      cache_.Insert(canonical.key, snap.epoch, record)) {
+    result->plan_bytes_charged = record->SizeBytes();
   }
 
   if (!r.ok()) {
@@ -204,57 +212,6 @@ void GraphState::Execute(const CanonicalQuery& canonical,
       for (VertexId& v : result->run.order.order) v = from_canonical[v];
     }
   }
-}
-
-StatusOr<FastRunResult> GraphState::BuildAndRun(
-    const CanonicalQuery& canonical, const GraphSnapshot& snap,
-    const FastRunOptions& run, device::DeviceExecutor* device,
-    std::uint64_t* plan_bytes_charged) {
-  // Plan miss (or cache disabled): compute the order and build the CST for
-  // the canonical query against this request's snapshot, then partition and
-  // match it, recording the compiled plan as partitions are emitted.
-  const QueryGraph& q = canonical.query;
-  const Graph& g = *snap.graph;
-  // One cst_build span covers order computation and Alg. 1 construction; an
-  // early error return leaves the span open and RequestTrace::Finish closes
-  // it.
-  if (run.trace != nullptr) run.trace->Begin(obs::Span::kCstBuild);
-  // Optional so the stage closes before matching (whose own stages must not
-  // nest under cst_build); early error returns destroy it too.
-  std::optional<obs::StageScope> build_stage;
-  build_stage.emplace("cst_build");
-  FAST_ASSIGN_OR_RETURN(MatchingOrder order,
-                        ComputeMatchingOrder(q, g, run.order_policy));
-  if (run.cancel != nullptr && run.cancel->Cancelled()) {
-    return Status::DeadlineExceeded("deadline expired before CST build");
-  }
-  Timer build_timer;
-  FAST_ASSIGN_OR_RETURN(Cst cst, BuildCst(q, g, order.root, run.cst_build));
-  const double build_seconds = build_timer.ElapsedSeconds();
-  if (run.trace != nullptr) run.trace->End();
-  build_stage.reset();
-
-  auto compiled = options_.plan_cache_capacity > 0
-                      ? std::make_shared<CompiledPlan>()
-                      : nullptr;
-  StatusOr<FastRunResult> r = Status::Internal("unreachable");
-  if (device != nullptr) {
-    // Shared-device mode: partitions are matched in cross-query batches on
-    // the executor. The canonical key + epoch identify the partitions, so
-    // concurrent requests for the same shape share one PCIe transfer.
-    r = device::RunCstOnDevice(*device, cst, order, run,
-                               options_.device_queue_key, snap.epoch,
-                               canonical.key, build_seconds, compiled.get());
-  } else {
-    FAST_PROF_STAGE("match");
-    r = RunFastWithCst(cst, order, run, build_seconds, compiled.get());
-  }
-  // Only a run that finished has recorded every partition.
-  if (r.ok() && compiled != nullptr &&
-      cache_.Insert(canonical.key, snap.epoch, compiled)) {
-    *plan_bytes_charged = compiled->SizeBytes();
-  }
-  return r;
 }
 
 }  // namespace fast::service

@@ -14,11 +14,12 @@
 //     drops the shared_ptr);
 //   - the epoch-tagged compiled-plan cache (plan_cache.h), invalidated
 //     eagerly on publish and re-checked per hit;
-//   - request execution: canonical-query cache lookup; on a miss, order +
-//     CST build + Alg. 2 partitioning, recorded into a CompiledPlan while the
-//     partitions are matched; on a hit, matching the cached partitions only;
-//     then the remap of every client-visible vertex reference back to the
-//     submitted numbering.
+//   - request execution: canonical-query cache lookup, then one call into
+//     the pipeline (core/driver.h) — on a miss order + CST build + Alg. 2
+//     partitioning, recorded into a CompiledPlan while the partitions are
+//     matched; on a hit the cached partitions only — inline or on the shared
+//     device; then the remap of every client-visible vertex reference back
+//     to the submitted numbering.
 //
 // Serve() is the single entry point a worker calls after dequeuing a
 // request: it enforces the deadline at dispatch, arms a cooperative
@@ -183,11 +184,6 @@ class GraphState {
                const GraphSnapshot& snap, const FastRunOptions& base_run,
                const CancelToken* cancel, device::DeviceExecutor* device,
                obs::RequestTrace* trace, RequestResult* result);
-  StatusOr<FastRunResult> BuildAndRun(const CanonicalQuery& canonical,
-                                      const GraphSnapshot& snap,
-                                      const FastRunOptions& run,
-                                      device::DeviceExecutor* device,
-                                      std::uint64_t* plan_bytes_charged);
   std::uint64_t Publish(Graph next);
 
   const GraphStateOptions options_;

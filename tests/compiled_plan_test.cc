@@ -2,7 +2,8 @@
 // path: a request served from a cached plan must return exactly what the
 // miss that recorded the plan returned — embeddings, kernel counters,
 // simulated kernel seconds, partition stats and the Alg. 3 split — under
-// inline placement (with and without a CPU share) and on the shared device.
+// inline placement and on the shared device, each with and without a CPU
+// share.
 // After a graph delta, the next request rebuilds the plan and matches brute
 // force on the new snapshot.
 
@@ -13,6 +14,7 @@
 
 #include "core/compiled_plan.h"
 #include "core/driver.h"
+#include "device/device_executor.h"
 #include "graph/graph_delta.h"
 #include "ldbc/ldbc.h"
 #include "service/match_service.h"
@@ -28,13 +30,14 @@ using service::ServiceOptions;
 using testing::BruteForceCount;
 using testing::SmallLdbcGraph;
 
-enum class Placement { kInline, kInlineShare, kDevice };
+enum class Placement { kInline, kInlineShare, kDevice, kDeviceShare };
 
 std::string PlacementName(Placement p) {
   switch (p) {
     case Placement::kInline: return "Inline";
     case Placement::kInlineShare: return "InlineShare";
     case Placement::kDevice: return "Device";
+    case Placement::kDeviceShare: return "DeviceShare";
   }
   return "?";
 }
@@ -46,8 +49,11 @@ ServiceOptions PlanServiceOptions(Placement placement) {
   options.plan_cache_capacity = 16;
   options.run.partition.max_size_words = 512;
   options.run.fpga.max_new_partials = 1024;
-  if (placement == Placement::kInlineShare) options.run.cpu_share_delta = 0.5;
-  if (placement == Placement::kDevice) {
+  if (placement == Placement::kInlineShare ||
+      placement == Placement::kDeviceShare) {
+    options.run.cpu_share_delta = 0.5;
+  }
+  if (placement == Placement::kDevice || placement == Placement::kDeviceShare) {
     options.device_mode = true;
     options.device.batch_window_seconds = 0;
   }
@@ -123,34 +129,40 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Range(0, kNumLdbcQueries),
                        ::testing::Values(Placement::kInline,
                                          Placement::kInlineShare,
-                                         Placement::kDevice)),
+                                         Placement::kDevice,
+                                         Placement::kDeviceShare)),
     [](const ::testing::TestParamInfo<PlanHitTest::ParamType>& info) {
       return "q" + std::to_string(std::get<0>(info.param)) +
              PlacementName(std::get<1>(info.param));
     });
 
 // The small budget above really does split, and the δ = 0.5 share really
-// keeps partitions on the host: the equivalence is not vacuous.
+// keeps partitions on the host, inline and on the device: the equivalence is
+// not vacuous.
 TEST(CompiledPlanTest, SmallBudgetSplitsAndSharesLdbcQueries) {
   const Graph g = SmallLdbcGraph();
-  MatchService svc(g, PlanServiceOptions(Placement::kInlineShare));
-  std::size_t split = 0;
-  std::size_t shared = 0;
-  std::size_t found = 0;
-  for (int i = 0; i < kNumLdbcQueries; ++i) {
-    auto r = svc.SubmitAndWait(LdbcQuery(i).value());
-    ASSERT_TRUE(r.ok());
-    if (r->run.fpga_partitions + r->run.cpu_partitions > 1) ++split;
-    if (r->run.cpu_partitions > 0) ++shared;
-    if (r->run.embeddings > 0) ++found;
+  for (Placement placement : {Placement::kInlineShare, Placement::kDeviceShare}) {
+    SCOPED_TRACE(PlacementName(placement));
+    MatchService svc(g, PlanServiceOptions(placement));
+    std::size_t split = 0;
+    std::size_t shared = 0;
+    std::size_t found = 0;
+    for (int i = 0; i < kNumLdbcQueries; ++i) {
+      auto r = svc.SubmitAndWait(LdbcQuery(i).value());
+      ASSERT_TRUE(r.ok());
+      if (r->run.fpga_partitions + r->run.cpu_partitions > 1) ++split;
+      if (r->run.cpu_partitions > 0) ++shared;
+      if (r->run.embeddings > 0) ++found;
+    }
+    EXPECT_GE(split, 5u);
+    EXPECT_GE(shared, 5u);
+    EXPECT_GE(found, 5u);
   }
-  EXPECT_GE(split, 5u);
-  EXPECT_GE(shared, 5u);
-  EXPECT_GE(found, 5u);
 }
 
 // FAST-DRAM does not partition: its plan is the whole CST as one partition,
-// and replaying it reproduces the recording run.
+// inline and on the shared device alike, even under a BRAM budget the CST
+// exceeds, and replaying it reproduces the recording run.
 TEST(CompiledPlanTest, DramPlanIsTheWholeCst) {
   const Graph g = SmallLdbcGraph();
   const QueryGraph q = LdbcQuery(2).value();
@@ -160,20 +172,32 @@ TEST(CompiledPlanTest, DramPlanIsTheWholeCst) {
   FastRunOptions options;
   options.variant = FastVariant::kDram;
   options.store_limit = 1u << 20;
+  options.partition.max_size_words = 512;
+  ASSERT_GT(cst.SizeWords(), options.partition.max_size_words);
 
-  CompiledPlan plan;
-  auto miss = RunFastWithCst(cst, order, options, 0.0, &plan);
-  ASSERT_TRUE(miss.ok()) << miss.status();
-  ASSERT_EQ(plan.fpga.size(), 1u);
-  EXPECT_EQ(plan.fpga[0].cst->SizeWords(), cst.SizeWords());
-  EXPECT_EQ(plan.fpga[0].wire_bytes, CstWireBytes(cst));
-  EXPECT_EQ(plan.SizeBytes(), cst.SizeBytes());
-  EXPECT_TRUE(plan.cpu.empty());
+  device::DeviceOptions device_options;
+  device_options.fpga = options.fpga;
+  device_options.variant = FastVariant::kDram;
+  device_options.batch_window_seconds = 0;
+  device::DeviceExecutor device(device_options);
+  device::DevicePlacement on_device(device, "t0", 1, "q2");
+  for (CardPlacement* placement : {static_cast<CardPlacement*>(nullptr),
+                                   static_cast<CardPlacement*>(&on_device)}) {
+    SCOPED_TRACE(placement == nullptr ? "inline" : "device");
+    CompiledPlan plan;
+    auto miss = RunFastWithCst(cst, order, options, 0.0, &plan, placement);
+    ASSERT_TRUE(miss.ok()) << miss.status();
+    ASSERT_EQ(plan.fpga.size(), 1u);
+    EXPECT_EQ(plan.fpga[0].cst->SizeWords(), cst.SizeWords());
+    EXPECT_EQ(plan.fpga[0].wire_bytes, CstWireBytes(cst));
+    EXPECT_EQ(plan.SizeBytes(), cst.SizeBytes());
+    EXPECT_TRUE(plan.cpu.empty());
 
-  auto hit = RunCompiledPlan(plan, options);
-  ASSERT_TRUE(hit.ok()) << hit.status();
-  ExpectSameRun(*miss, *hit);
-  EXPECT_EQ(hit->embeddings, BruteForceCount(q, g));
+    auto hit = RunFast(q, g, options, placement, &plan);
+    ASSERT_TRUE(hit.ok()) << hit.status();
+    ExpectSameRun(*miss, *hit);
+    EXPECT_EQ(hit->embeddings, BruteForceCount(q, g));
+  }
 }
 
 class PlanRebuildTest : public ::testing::TestWithParam<Placement> {};
@@ -211,7 +235,7 @@ TEST_P(PlanRebuildTest, DeltaForcesRebuildThatMatchesBruteForce) {
 INSTANTIATE_TEST_SUITE_P(
     Placements, PlanRebuildTest,
     ::testing::Values(Placement::kInline, Placement::kInlineShare,
-                      Placement::kDevice),
+                      Placement::kDevice, Placement::kDeviceShare),
     [](const ::testing::TestParamInfo<Placement>& info) {
       return PlacementName(info.param);
     });

@@ -25,7 +25,6 @@ using device::DeviceExecutor;
 using device::DeviceOptions;
 using device::DeviceQueryResult;
 using device::DeviceStats;
-using device::RunCstOnDevice;
 using testing::BruteForceCount;
 using testing::PaperDataGraph;
 using testing::PaperQuery;
@@ -51,6 +50,17 @@ Plan BuildPlan(const QueryGraph& q, const Graph& g) {
   auto cst = BuildCst(q, g, order->root, {});
   FAST_CHECK(cst.ok());
   return {*std::move(order), *std::move(cst)};
+}
+
+// The pipeline's miss path from a prebuilt CST, placed on the shared device.
+StatusOr<FastRunResult> RunCstOnDevice(DeviceExecutor& device, const Cst& cst,
+                                       const MatchingOrder& order,
+                                       const FastRunOptions& options,
+                                       const std::string& queue_key,
+                                       std::uint64_t epoch,
+                                       const std::string& plan_key) {
+  device::DevicePlacement placement(device, queue_key, epoch, plan_key);
+  return RunFastWithCst(cst, order, options, 0.0, nullptr, &placement);
 }
 
 TEST(DeviceExecutorTest, DeviceRoutedRunMatchesInlineDriver) {

@@ -1,6 +1,6 @@
 // Tests for per-request tracing (src/obs/trace.h, src/obs/request_obs.h):
 // span sequencing on the raw recorder, simulated-span accounting, the trace
-// rings, and end-to-end span ordering/coverage through MatchService in CPU
+// rings, and end-to-end span order and bounds through MatchService in CPU
 // and device modes plus the tenant tag through TenantRouter.
 
 #include <algorithm>
@@ -64,6 +64,28 @@ void ExpectWallSpansOrdered(const CompletedTrace& trace) {
           << SpanName(wall[i].span);
     }
   }
+}
+
+// The wall spans of a served request, load-independently: `required` appear
+// in this order, no two wall spans overlap, and the last one ends no later
+// than the request's end-to-end latency. (A coverage ratio would depend on
+// how long the host kept the request waiting between spans.)
+void ExpectWallSpans(const CompletedTrace& trace, std::vector<Span> required) {
+  ExpectWallSpansOrdered(trace);
+  const std::vector<TraceSpan> wall = WallSpans(trace);
+  ASSERT_FALSE(wall.empty());
+  std::size_t next = 0;
+  for (const TraceSpan& s : wall) {
+    if (next < required.size() && s.span == required[next]) ++next;
+  }
+  EXPECT_EQ(next, required.size())
+      << "missing or out of order: "
+      << (next < required.size() ? SpanName(required[next]) : "") << " in "
+      << trace.Summary();
+  const TraceSpan& last = wall.back();
+  EXPECT_LE(last.start_seconds + last.duration_seconds, trace.total_seconds + 1e-9)
+      << trace.Summary();
+  EXPECT_LE(trace.WallSpanSeconds(), trace.total_seconds + 1e-9);
 }
 
 TEST(RequestTraceTest, BeginAutoClosesAndSpansStayMonotonic) {
@@ -195,16 +217,11 @@ TEST(ServiceTraceTest, CpuModeSpansAreOrderedAndCoverLatency) {
   ASSERT_NE(result->trace, nullptr);
   const CompletedTrace& trace = *result->trace;
 
-  ExpectWallSpansOrdered(trace);
   EXPECT_EQ(WallSpans(trace).front().span, Span::kAdmit);
-  EXPECT_TRUE(HasSpan(trace, Span::kQueue, false));
-  EXPECT_TRUE(HasSpan(trace, Span::kSnapshot, false));
-  EXPECT_TRUE(HasSpan(trace, Span::kPlanLookup, false));
-  EXPECT_TRUE(HasSpan(trace, Span::kMatch, false));
-  EXPECT_TRUE(HasSpan(trace, Span::kRemap, false));
+  ExpectWallSpans(trace, {Span::kAdmit, Span::kQueue, Span::kSnapshot,
+                          Span::kPlanLookup, Span::kCstBuild, Span::kMatch,
+                          Span::kRemap});
   EXPECT_FALSE(HasSpan(trace, Span::kDeviceWait, false));
-  EXPECT_GT(trace.Coverage(), 0.5);
-  EXPECT_LE(trace.WallSpanSeconds(), trace.total_seconds + 1e-9);
 
   // The trace is shared with the recent ring and mirrored into the registry.
   ASSERT_EQ(svc.recent_traces().size(), 1u);
@@ -226,14 +243,12 @@ TEST(ServiceTraceTest, DeviceModeAddsDeviceSpansAndSimulatedModelTime) {
   ASSERT_NE(result->trace, nullptr);
   const CompletedTrace& trace = *result->trace;
 
-  ExpectWallSpansOrdered(trace);
-  EXPECT_TRUE(HasSpan(trace, Span::kDeviceWait, false));
-  EXPECT_TRUE(HasSpan(trace, Span::kReassembly, false));
+  ExpectWallSpans(trace, {Span::kAdmit, Span::kQueue, Span::kSnapshot,
+                          Span::kPlanLookup, Span::kCstBuild,
+                          Span::kDeviceWait, Span::kReassembly, Span::kRemap});
   EXPECT_FALSE(HasSpan(trace, Span::kMatch, false));
   EXPECT_TRUE(HasSpan(trace, Span::kDma, true));
   EXPECT_TRUE(HasSpan(trace, Span::kKernel, true));
-  EXPECT_GT(trace.Coverage(), 0.5);
-  EXPECT_LE(trace.WallSpanSeconds(), trace.total_seconds + 1e-9);
 }
 
 TEST(ServiceTraceTest, TracingOffCarriesNoTraceButKeepsMetrics) {
