@@ -143,7 +143,6 @@ class CardPlacement {
                 obs::Span wait_span, obs::Span tail_span)
       : fpga_(fpga), variant_(variant), wait_span_(wait_span),
         tail_span_(tail_span) {}
-  virtual ~CardPlacement() = default;
 
   const FpgaConfig& fpga() const { return fpga_; }
   FastVariant variant() const { return variant_; }
@@ -166,6 +165,11 @@ class CardPlacement {
   virtual double CardSeconds(const FastRunResult& r) const {
     return r.pcie_seconds + r.kernel_seconds;
   }
+
+ protected:
+  // Placements live on their caller's stack; none is deleted through a
+  // CardPlacement pointer.
+  ~CardPlacement() = default;
 
  private:
   const FpgaConfig& fpga_;
