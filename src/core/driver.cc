@@ -28,40 +28,61 @@ PartitionConfig DerivePartitionConfig(const FpgaConfig& fpga, std::size_t query_
   return config;
 }
 
-void InlinePlacement::Begin(const MatchingOrder& order,
-                            ResultCollector* collector,
-                            const CancelToken* cancel, FastRunResult* result) {
-  order_ = &order;
-  collector_ = collector;
-  cancel_ = cancel;
-  result_ = result;
-}
-
-StatusOr<double> InlinePlacement::MatchOnCard(const CompiledPartition& part) {
-  const Cst& cst = *part.cst;
-  KernelRunResult run;
-  {
-    // Same stage name as the device executor's, so profiles attribute
-    // inline kernel time below match (match;partition on a plan miss, where
-    // Alg. 2's sink runs it).
-    FAST_PROF_STAGE("kernel");
-    FAST_ASSIGN_OR_RETURN(run, RunKernel(cst, *order_, fpga(), collector_,
-                                         /*round_trace=*/nullptr, cancel_));
-  }
-  const double kernel_seconds = SimulatedKernelSeconds(
-      fpga(), variant(), run, cst.SizeWords(), cst.NumQueryVertices());
-  const double pcie_seconds =
-      fpga().PcieSeconds(static_cast<double>(part.wire_bytes));
-  result_->counters += run.counters;
-  result_->embeddings += run.embeddings;
-  result_->kernel_seconds += kernel_seconds;
-  result_->dma_bytes += part.wire_bytes;
-  result_->pcie_seconds += pcie_seconds;
-  ++result_->fpga_partitions;
-  return kernel_seconds + pcie_seconds;
-}
-
 namespace {
+
+// A card private to the run: each partition crosses PCIe and runs through
+// the kernel on the calling thread, its time from the analytic cycle model
+// over options.fpga and options.variant. Records one wall `match` span.
+class InlinePlacement : public CardPlacement {
+ public:
+  explicit InlinePlacement(const FastRunOptions& options)
+      : CardPlacement(options.fpga, options.variant, obs::Span::kMatch,
+                      obs::Span::kMatch) {}
+
+  void Begin(const MatchingOrder& order, ResultCollector* collector,
+             const CancelToken* cancel, FastRunResult* result) override {
+    order_ = &order;
+    collector_ = collector;
+    cancel_ = cancel;
+    result_ = result;
+  }
+  Status Place(const CompiledPartition& part) override {
+    return MatchOnCard(part).status();
+  }
+  Status Drain() override { return Status::OK(); }
+
+ protected:
+  // Matches one partition and returns its simulated kernel + PCIe seconds.
+  StatusOr<double> MatchOnCard(const CompiledPartition& part) {
+    const Cst& cst = *part.cst;
+    KernelRunResult run;
+    {
+      // Same stage name as the device executor's, so profiles attribute
+      // inline kernel time below match (match;partition on a plan miss,
+      // where Alg. 2's sink runs it).
+      FAST_PROF_STAGE("kernel");
+      FAST_ASSIGN_OR_RETURN(run, RunKernel(cst, *order_, fpga(), collector_,
+                                           /*round_trace=*/nullptr, cancel_));
+    }
+    const double kernel_seconds = SimulatedKernelSeconds(
+        fpga(), variant(), run, cst.SizeWords(), cst.NumQueryVertices());
+    const double pcie_seconds =
+        fpga().PcieSeconds(static_cast<double>(part.wire_bytes));
+    result_->counters += run.counters;
+    result_->embeddings += run.embeddings;
+    result_->kernel_seconds += kernel_seconds;
+    result_->dma_bytes += part.wire_bytes;
+    result_->pcie_seconds += pcie_seconds;
+    ++result_->fpga_partitions;
+    return kernel_seconds + pcie_seconds;
+  }
+
+ private:
+  const MatchingOrder* order_ = nullptr;
+  ResultCollector* collector_ = nullptr;
+  const CancelToken* cancel_ = nullptr;
+  FastRunResult* result_ = nullptr;
+};
 
 // N offline cards; the card side of the composition is the busiest card.
 class MultiCardPlacement : public InlinePlacement {

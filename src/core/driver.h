@@ -18,7 +18,7 @@
 // host share runs after the placement has drained, then the result composes.
 // Placements:
 //
-//   InlinePlacement     a card private to the run, matched on the calling
+//   inline (default)    a card private to the run, matched on the calling
 //                       thread; analytic timing (SimulatedKernelSeconds)
 //   N offline cards     each partition to the card with the least estimated
 //                       workload (Sec. VII-E; RunMultiFpga)
@@ -178,33 +178,6 @@ class CardPlacement {
   const obs::Span tail_span_;
 };
 
-// A card private to the run: each partition crosses PCIe and runs through
-// the kernel on the calling thread, its time from the analytic cycle model.
-// Uses options.fpga and options.variant. Records one wall `match` span.
-class InlinePlacement : public CardPlacement {
- public:
-  explicit InlinePlacement(const FastRunOptions& options)
-      : CardPlacement(options.fpga, options.variant, obs::Span::kMatch,
-                      obs::Span::kMatch) {}
-
-  void Begin(const MatchingOrder& order, ResultCollector* collector,
-             const CancelToken* cancel, FastRunResult* result) override;
-  Status Place(const CompiledPartition& part) override {
-    return MatchOnCard(part).status();
-  }
-  Status Drain() override { return Status::OK(); }
-
- protected:
-  // Matches one partition and returns its simulated kernel + PCIe seconds.
-  StatusOr<double> MatchOnCard(const CompiledPartition& part);
-
- private:
-  const MatchingOrder* order_ = nullptr;
-  ResultCollector* collector_ = nullptr;
-  const CancelToken* cancel_ = nullptr;
-  FastRunResult* result_ = nullptr;
-};
-
 // Runs the pipeline for query q over data graph g.
 //
 // With `cached` null this is a miss: steps (1)-(6), with one `cst_build`
@@ -221,7 +194,9 @@ class InlinePlacement : public CardPlacement {
 // seconds, partition stats and the Alg. 3 split equal the recording run's.
 // build_seconds and partition_seconds are 0.
 //
-// A null `placement` runs inline (InlinePlacement over options).
+// A null `placement` runs inline: a card private to the run, matched on
+// the calling thread under options.fpga and options.variant, recording one
+// wall `match` span.
 //
 // Reentrancy: RunFast keeps all state on the stack (no globals, no shared
 // mutable caches), so concurrent calls over the same immutable Graph are

@@ -11,7 +11,6 @@
 #include <utility>
 
 #include "core/kernel.h"
-#include "cst/partition.h"
 #include "fpga/pipeline_sim.h"
 #include "obs/profiler.h"
 #include "util/logging.h"
