@@ -4,6 +4,7 @@
 // concurrency test CI runs under TSan and ASan+UBSan — tenant isolation
 // while a writer churns exactly one tenant's graph.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <mutex>
@@ -336,6 +337,177 @@ TEST(TenantRouterTest, UnknownTenantAndShutdownAreNotCountedAsQueueFull) {
   auto ta = router.tenant_stats("a");
   ASSERT_TRUE(ta.ok());
   EXPECT_EQ(ta->rejected_queue_full, 1u);
+}
+
+// Every outcome field summed over the tenant rows equals the router total
+// (no tenant has been removed, so the rows cover every request).
+void ExpectTenantRowsSumToTotals(const tenant::RouterStats& s) {
+  tenant::RouterStats sum;
+  for (const tenant::TenantStats& t : s.tenants) {
+    sum.submitted += t.submitted;
+    sum.completed += t.completed;
+    sum.failed += t.failed;
+    sum.rejected_queue_full += t.rejected_queue_full;
+    sum.rejected_quota += t.rejected_quota;
+    sum.rejected_deadline += t.rejected_deadline;
+    sum.cancelled_midrun += t.cancelled_midrun;
+    sum.latency.Merge(t.latency);
+  }
+  EXPECT_EQ(sum.submitted, s.submitted);
+  EXPECT_EQ(sum.completed, s.completed);
+  EXPECT_EQ(sum.failed, s.failed);
+  EXPECT_EQ(sum.rejected_queue_full, s.rejected_queue_full);
+  EXPECT_EQ(sum.rejected_quota, s.rejected_quota);
+  EXPECT_EQ(sum.rejected_deadline, s.rejected_deadline);
+  EXPECT_EQ(sum.cancelled_midrun, s.cancelled_midrun);
+  EXPECT_EQ(sum.latency.count(), s.latency.count());
+  EXPECT_EQ(s.latency.count(), s.completed);
+}
+
+// Each finished request is charged to its tenant's account exactly once:
+// the account's request count is the sum of the finish outcomes, and its
+// errors are the finished requests that did not complete OK.
+void ExpectAccountsMatchTenantOutcomes(const TenantRouter& router,
+                                       const tenant::RouterStats& s) {
+  for (const obs::AccountSnapshot& a : router.request_obs()->accounts().Snapshot()) {
+    const auto t = std::find_if(
+        s.tenants.begin(), s.tenants.end(),
+        [&](const tenant::TenantStats& ts) { return ts.id == a.tenant; });
+    ASSERT_NE(t, s.tenants.end()) << a.tenant;
+    EXPECT_EQ(a.requests, t->completed + t->failed + t->rejected_deadline +
+                              t->cancelled_midrun)
+        << a.tenant;
+    EXPECT_EQ(a.errors, a.requests - t->completed) << a.tenant;
+  }
+}
+
+TEST(TenantRouterTest, TenantRowsSumToRouterTotals) {
+  RouterOptions options = SmallRouterOptions(1);
+  options.queue_capacity = 3;
+  TenantRouter router(options);
+  TenantOptions quota1;
+  quota1.max_queued = 1;
+  ASSERT_TRUE(router.AddTenant("a", PaperDataGraph(), quota1).ok());
+  ASSERT_TRUE(router.AddTenant("b", PaperDataGraph()).ok());
+
+  // Park the single worker on "a" so the submissions below stay queued.
+  std::atomic<bool> started{false};
+  std::atomic<bool> release{false};
+  RequestOptions blocker_opts;
+  blocker_opts.on_embedding = [&](std::span<const VertexId>) {
+    started.store(true);
+    while (!release.load()) std::this_thread::yield();
+  };
+  auto blocker = router.Submit("a", PaperQuery(), blocker_opts);
+  ASSERT_TRUE(blocker.ok());
+  while (!started.load()) std::this_thread::yield();
+
+  auto a_queued = router.Submit("a", PaperQuery());
+  ASSERT_TRUE(a_queued.ok());
+  // "a" holds its quota of one queued request.
+  EXPECT_EQ(router.Submit("a", PaperQuery()).status().code(),
+            StatusCode::kResourceExhausted);
+  RequestOptions short_deadline;
+  short_deadline.deadline_seconds = 1e-3;
+  auto b_expiring = router.Submit("b", PaperQuery(), short_deadline);
+  ASSERT_TRUE(b_expiring.ok());
+  auto b_queued = router.Submit("b", TriangleQuery());
+  ASSERT_TRUE(b_queued.ok());
+  // Three queued: the global bound rejects the next "b".
+  EXPECT_EQ(router.Submit("b", PaperQuery()).status().code(),
+            StatusCode::kResourceExhausted);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+  release.store(true);
+  EXPECT_TRUE(router.Wait(*blocker)->status.ok());
+  EXPECT_TRUE(router.Wait(*a_queued)->status.ok());
+  EXPECT_EQ(router.Wait(*b_expiring)->status.code(),
+            StatusCode::kDeadlineExceeded);
+  EXPECT_TRUE(router.Wait(*b_queued)->status.ok());
+
+  const tenant::RouterStats s = router.stats();
+  ASSERT_EQ(s.tenants.size(), 2u);
+  const tenant::TenantStats& a = s.tenants[0];
+  const tenant::TenantStats& b = s.tenants[1];
+  EXPECT_EQ(a.submitted, 2u);
+  EXPECT_EQ(a.completed, 2u);
+  EXPECT_EQ(a.rejected_quota, 1u);
+  EXPECT_EQ(a.rejected_queue_full, 0u);
+  EXPECT_EQ(b.submitted, 2u);
+  EXPECT_EQ(b.completed, 1u);
+  EXPECT_EQ(b.rejected_deadline, 1u);
+  EXPECT_EQ(b.rejected_queue_full, 1u);
+  EXPECT_EQ(b.rejected_quota, 0u);
+  EXPECT_EQ(s.submitted, 4u);
+  EXPECT_EQ(s.completed, 3u);
+  ExpectTenantRowsSumToTotals(s);
+  ExpectAccountsMatchTenantOutcomes(router, s);
+}
+
+// The same identity read while traffic runs: every stats() snapshot is
+// exact, not just the quiescent one.
+TEST(TenantRouterTest, TenantRowsSumToRouterTotalsUnderTraffic) {
+  constexpr int kClients = 4;
+  constexpr int kRequestsPerClient = 40;
+  RouterOptions options = SmallRouterOptions(2);
+  options.queue_capacity = 4;
+  TenantRouter router(options);
+  TenantOptions quota2;
+  quota2.max_queued = 2;
+  ASSERT_TRUE(router.AddTenant("a", PaperDataGraph(), quota2).ok());
+  ASSERT_TRUE(router.AddTenant("b", PaperDataGraph()).ok());
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> snapshots{0};
+  std::thread reader([&] {
+    while (!stop.load()) {
+      ExpectTenantRowsSumToTotals(router.stats());
+      snapshots.fetch_add(1);
+    }
+  });
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&router, c] {
+      std::vector<TenantRouter::RequestId> ids;
+      for (int i = 0; i < kRequestsPerClient; ++i) {
+        RequestOptions opts;
+        if (i % 3 == 0) opts.deadline_seconds = 1e-5;
+        auto id = router.Submit(c % 2 == 0 ? "a" : "b", PaperQuery(), opts);
+        if (id.ok()) ids.push_back(*id);
+      }
+      for (auto id : ids) EXPECT_TRUE(router.Wait(id).ok());
+    });
+  }
+  for (auto& t : clients) t.join();
+  stop.store(true);
+  reader.join();
+  EXPECT_GT(snapshots.load(), 0);
+
+  const tenant::RouterStats s = router.stats();
+  EXPECT_EQ(s.submitted + s.rejected_queue_full + s.rejected_quota,
+            static_cast<std::uint64_t>(kClients) * kRequestsPerClient);
+  ExpectTenantRowsSumToTotals(s);
+  ExpectAccountsMatchTenantOutcomes(router, s);
+}
+
+// A removed tenant's requests stay in the router totals.
+TEST(TenantRouterTest, RemovedTenantStaysInRouterTotals) {
+  TenantRouter router(SmallRouterOptions(2));
+  ASSERT_TRUE(router.AddTenant("a", PaperDataGraph()).ok());
+  ASSERT_TRUE(router.AddTenant("b", PaperDataGraph()).ok());
+  ASSERT_TRUE(router.SubmitAndWait("a", PaperQuery()).ok());
+  ASSERT_TRUE(router.SubmitAndWait("b", PaperQuery()).ok());
+  ASSERT_TRUE(router.SubmitAndWait("b", TriangleQuery()).ok());
+  ASSERT_TRUE(router.RemoveTenant("b").ok());
+
+  const tenant::RouterStats s = router.stats();
+  EXPECT_EQ(s.num_tenants, 1u);
+  ASSERT_EQ(s.tenants.size(), 1u);
+  EXPECT_EQ(s.tenants[0].id, "a");
+  EXPECT_EQ(s.tenants[0].completed, 1u);
+  EXPECT_EQ(s.submitted, 3u);
+  EXPECT_EQ(s.completed, 3u);
+  EXPECT_EQ(s.latency.count(), 3u);
 }
 
 TEST(TenantRouterTest, WeightedRoundRobinHonorsWeights) {
