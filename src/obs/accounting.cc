@@ -1,8 +1,23 @@
 #include "obs/accounting.h"
 
 #include <algorithm>
+#include <string>
+#include <utility>
 
 namespace fast::obs {
+
+namespace {
+
+std::string AccountName(const std::string& tenant) {
+  return tenant.empty() ? kDefaultAccount : tenant;
+}
+
+// The row counter of each RequestOutcome, in enum order.
+constexpr std::uint64_t AccountSnapshot::*kOutcomeCounter[] = {
+    &AccountSnapshot::completed, &AccountSnapshot::rejected_deadline,
+    &AccountSnapshot::cancelled_midrun, &AccountSnapshot::failed};
+
+}  // namespace
 
 ResourceAccounts::ResourceAccounts(MetricsRegistry* metrics)
     : metrics_(metrics) {
@@ -22,19 +37,40 @@ ResourceAccounts::ResourceAccounts(MetricsRegistry* metrics)
                                         "Submit->dispatch nanoseconds charged");
   plan_cache_bytes_ =
       metrics_->GetCounter("fast_account_plan_cache_bytes_total",
-                           "Serialized plan-image bytes inserted");
+                           "Compiled-plan partition bytes inserted");
 }
 
-void ResourceAccounts::Charge(const std::string& tenant,
-                              const RequestCost& cost, bool ok) {
+AccountSnapshot& ResourceAccounts::Row(const std::string& tenant) {
+  std::string name = AccountName(tenant);
+  auto [it, inserted] = accounts_.try_emplace(name);
+  if (inserted) it->second.tenant = std::move(name);
+  return it->second;
+}
+
+void ResourceAccounts::Admit(const std::string& tenant) {
+  std::lock_guard<std::mutex> lock(mu_);
+  ++Row(tenant).submitted;
+}
+
+void ResourceAccounts::Reject(const std::string& tenant, bool quota) {
+  std::lock_guard<std::mutex> lock(mu_);
+  AccountSnapshot& a = Row(tenant);
+  ++(quota ? a.rejected_quota : a.rejected_queue_full);
+}
+
+void ResourceAccounts::Charge(const std::string& tenant, RequestOutcome outcome,
+                              double seconds, const RequestCost& cost) {
+  const bool ok = outcome == RequestOutcome::kCompleted;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    AccountSnapshot& a =
-        accounts_.try_emplace(tenant.empty() ? kDefaultAccount : tenant)
-            .first->second;
-    if (a.tenant.empty()) a.tenant = tenant.empty() ? kDefaultAccount : tenant;
+    AccountSnapshot& a = Row(tenant);
+    ++(a.*kOutcomeCounter[static_cast<std::size_t>(outcome)]);
     ++a.requests;
-    if (!ok) ++a.errors;
+    if (ok) {
+      a.latency.Record(seconds);
+    } else {
+      ++a.errors;
+    }
     a.cpu_ns += cost.cpu_ns;
     a.device_kernel_ns += cost.device_kernel_ns;
     a.dma_bytes += cost.dma_bytes;
@@ -71,6 +107,15 @@ std::vector<AccountSnapshot> ResourceAccounts::Snapshot() const {
 std::size_t ResourceAccounts::num_accounts() const {
   std::lock_guard<std::mutex> lock(mu_);
   return accounts_.size();
+}
+
+const AccountSnapshot* FindAccount(const std::vector<AccountSnapshot>& accounts,
+                                   const std::string& tenant) {
+  const std::string name = AccountName(tenant);
+  const auto it = std::lower_bound(
+      accounts.begin(), accounts.end(), name,
+      [](const AccountSnapshot& a, const std::string& n) { return a.tenant < n; });
+  return it != accounts.end() && it->tenant == name ? &*it : nullptr;
 }
 
 void WriteAccountsJson(JsonWriter& w, const std::vector<AccountSnapshot>& accounts,
@@ -119,7 +164,7 @@ std::string AccountsToPrometheusText(
          "Submit->dispatch nanoseconds per tenant",
          [](const AccountSnapshot& a) { return a.queue_wait_ns; });
   family("fast_tenant_plan_cache_bytes_total",
-         "Serialized plan-image bytes inserted per tenant",
+         "Compiled-plan partition bytes inserted per tenant",
          [](const AccountSnapshot& a) { return a.plan_cache_bytes; });
   return out;
 }

@@ -19,14 +19,14 @@
 //   - plan_cache_bytes: partition bytes of the compiled plan this request
 //                       *inserted* into the plan cache (0 on a hit).
 //
-// ResourceAccounts aggregates those vectors per tenant id ("__default" for
-// the single-service mode where requests have no tenant) and mirrors the
-// process-wide totals into the metrics registry as fast_account_* counters,
-// charged in the same call — so the per-tenant table always sums to the
-// global counters (modulo requests in flight between the two scrapes).
-// Charge() is called once per finished request from RequestObs::OnFinished;
-// snapshots feed the admin plane's /tenants endpoint, the flight recorder,
-// and the accounts section of exported metrics JSON.
+// ResourceAccounts is the serving pool's one per-instance ledger: a row per
+// tenant id ("__default" for requests without one) holding the request
+// outcomes and OK-request latency next to the summed cost vectors. Rows live
+// as long as the ledger, so a re-added tenant id keeps counting. The
+// router's stats(), /tenants, the flight recorder and exported metrics JSON
+// all read Snapshot(). The cost totals are mirrored into the registry as
+// fast_account_* counters in the same Charge call, so the per-tenant table
+// sums to them (modulo requests in flight between the two scrapes).
 
 #include <cstdint>
 #include <mutex>
@@ -36,6 +36,7 @@
 
 #include "obs/metrics.h"
 #include "util/json_writer.h"
+#include "util/latency_histogram.h"
 
 namespace fast::obs {
 
@@ -50,9 +51,27 @@ struct RequestCost {
   std::uint64_t plan_cache_bytes = 0;
 };
 
+// How a dispatched (or expired) request finished.
+enum class RequestOutcome {
+  kCompleted,
+  kRejectedDeadline,   // deadline passed while queued; never dispatched
+  kCancelledMidrun,    // deadline tripped during the run
+  kFailed,             // pipeline error
+};
+
 // One tenant's accumulated account (also the snapshot row).
 struct AccountSnapshot {
   std::string tenant;
+  // Admission, counted at Submit.
+  std::uint64_t submitted = 0;            // admitted to the queue
+  std::uint64_t rejected_queue_full = 0;  // global queue was full
+  std::uint64_t rejected_quota = 0;       // per-tenant quota exceeded
+  // Finish outcomes: requests == completed + failed + rejected_deadline +
+  // cancelled_midrun, errors == requests - completed.
+  std::uint64_t completed = 0;
+  std::uint64_t failed = 0;
+  std::uint64_t rejected_deadline = 0;
+  std::uint64_t cancelled_midrun = 0;
   std::uint64_t requests = 0;  // every finished request, any outcome
   std::uint64_t errors = 0;    // finished not-OK
   std::uint64_t cpu_ns = 0;
@@ -60,6 +79,7 @@ struct AccountSnapshot {
   std::uint64_t dma_bytes = 0;
   std::uint64_t queue_wait_ns = 0;
   std::uint64_t plan_cache_bytes = 0;
+  LatencyHistogram latency;  // Submit -> completion, completed requests
 };
 
 class ResourceAccounts {
@@ -71,9 +91,16 @@ class ResourceAccounts {
   ResourceAccounts(const ResourceAccounts&) = delete;
   ResourceAccounts& operator=(const ResourceAccounts&) = delete;
 
-  // Charges one finished request to `tenant` (empty -> "__default") and
-  // bumps the global registry counters. Thread-safe.
-  void Charge(const std::string& tenant, const RequestCost& cost, bool ok);
+  // Admission outcomes of one Submit to `tenant` (empty -> "__default").
+  // Thread-safe, like every method here.
+  void Admit(const std::string& tenant);
+  void Reject(const std::string& tenant, bool quota);
+
+  // Charges one finished request to `tenant`: its outcome, its latency
+  // (`seconds`, recorded for completed requests) and its cost, and bumps the
+  // global registry counters.
+  void Charge(const std::string& tenant, RequestOutcome outcome, double seconds,
+              const RequestCost& cost);
 
   // Account table sorted by tenant id.
   std::vector<AccountSnapshot> Snapshot() const;
@@ -81,6 +108,9 @@ class ResourceAccounts {
   std::size_t num_accounts() const;
 
  private:
+  // The row of `tenant`, created on first use. Caller holds mu_.
+  AccountSnapshot& Row(const std::string& tenant);
+
   MetricsRegistry* const metrics_;
   Counter* requests_ = nullptr;
   Counter* errors_ = nullptr;
@@ -93,6 +123,11 @@ class ResourceAccounts {
   mutable std::mutex mu_;
   std::unordered_map<std::string, AccountSnapshot> accounts_;
 };
+
+// The row `tenant` (empty -> "__default") is charged to in a Snapshot()
+// table; nullptr before the tenant's first request.
+const AccountSnapshot* FindAccount(const std::vector<AccountSnapshot>& accounts,
+                                   const std::string& tenant);
 
 // Emits `accounts` as an array field named `key` of the writer's current
 // scope — the shape served by /tenants and embedded next to "metrics" in

@@ -25,11 +25,12 @@
 //      shards with relaxed loads: totals are monotone and each individual
 //      add is atomic, which is all a scrape needs.
 //
-// Components keep their existing per-instance stats structs (tests and
-// benches compare those per-phase); the registry holds the process-wide
-// view that export surfaces scrape. Both are bumped — the per-instance
-// counters under locks the component already holds, the registry metrics
-// with the relaxed atomics above.
+// Components keep their per-instance stats structs (tests and benches
+// compare those per-phase); the registry holds the process-wide view that
+// export surfaces scrape. Both are bumped in the same call. For request
+// outcomes the per-instance source is the router's account table
+// (obs/accounting.h), since one registry may be shared by several routers
+// and services, and a component may run without one.
 
 #include <atomic>
 #include <cstdint>

@@ -79,11 +79,13 @@ std::shared_ptr<RequestTrace> RequestObs::StartTrace() const {
   return opts_.tracing ? std::make_shared<RequestTrace>() : nullptr;
 }
 
-void RequestObs::OnSubmitted() {
+void RequestObs::OnSubmitted(const std::string& tenant_id) {
+  accounts_.Admit(tenant_id);
   if (submitted_ != nullptr) submitted_->Increment();
 }
 
-void RequestObs::OnRejectedQueueFull() {
+void RequestObs::OnRejectedQueueFull(const std::string& tenant_id) {
+  accounts_.Reject(tenant_id, /*quota=*/false);
   if (rejected_queue_full_ != nullptr) rejected_queue_full_->Increment();
   events_.Record(ProcessUptimeSeconds(), "pushback", "");
 }
@@ -93,7 +95,8 @@ void RequestObs::OnPopBlocked(std::uint64_t ns) {
   if (queue_pop_block_ns_ != nullptr) queue_pop_block_ns_->Increment(ns);
 }
 
-void RequestObs::OnRejectedQuota() {
+void RequestObs::OnRejectedQuota(const std::string& tenant_id) {
+  accounts_.Reject(tenant_id, /*quota=*/true);
   if (rejected_quota_ != nullptr) rejected_quota_->Increment();
 }
 
@@ -103,11 +106,12 @@ void RequestObs::SetQueueDepth(std::size_t depth) {
 
 std::shared_ptr<const CompletedTrace> RequestObs::OnFinished(
     Outcome outcome, double total_seconds, std::shared_ptr<RequestTrace> trace,
-    std::uint64_t request_id, bool ok, const char* status_name,
-    std::string tenant_id, const RequestCost& cost) {
+    std::uint64_t request_id, const char* status_name, std::string tenant_id,
+    const RequestCost& cost) {
+  const bool ok = outcome == Outcome::kCompleted;
   // Attribution first: the account table and the SLO stream see every
   // finished request, whatever its outcome (tenant_id is moved below).
-  accounts_.Charge(tenant_id, cost, ok);
+  accounts_.Charge(tenant_id, outcome, total_seconds, cost);
   if (slo_ != nullptr) {
     slo_->Record(tenant_id, total_seconds, ok, uptime_.ElapsedSeconds());
   }

@@ -7,19 +7,19 @@
 // queue-depth gauge, worker pop-wait counters), the recent-trace ring, the
 // slow-query retention ring, and the slow-query WARNING log.
 //
-// It is also the admin plane's attribution point: every OnFinished charges
-// the request's cost vector to the per-tenant resource accountant
-// (obs/accounting.h) and feeds the SLO burn-rate engine (obs/slo.h), whose
-// breach transitions trigger the flight recorder. One call site, every
-// serving mode.
-//
-// The router keeps its per-instance counters (its stats() struct is the
-// per-instance view benches compare phase by phase); this bundle adds the
-// process-wide view on top.
+// It is also the admin plane's attribution point and the instance's one
+// outcome counter: OnSubmitted / OnRejected* / OnFinished charge the
+// tenant's row in the account table (obs/accounting.h), which the router's
+// stats() and /tenants read. OnFinished also feeds the SLO burn-rate engine
+// (obs/slo.h), whose breach transitions trigger the flight recorder. The
+// registry counters bumped in the same calls are the process-wide view; the
+// registry is optional and may be shared by several routers, so it cannot be
+// the per-instance source.
 
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "obs/accounting.h"
@@ -32,32 +32,36 @@ namespace fast::obs {
 
 class RequestObs {
  public:
+  // The observability knobs of the serving pool; service::
+  // CommonServingOptions inherits them. Non-aggregate on purpose — set
+  // fields by name.
   struct Options {
-    // Registry to report into; nullptr disables all registry metrics (trace
-    // rings and the slow log still work when tracing is on).
+    Options() = default;
+
+    // Process-wide metrics registry to report into. Non-owning; must outlive
+    // the service. nullptr disables all registry metrics (trace rings and
+    // the slow log still work when tracing is on).
     MetricsRegistry* metrics = nullptr;
-    // Record per-request span traces. Off, StartTrace returns nullptr and
-    // every downstream span record is a skipped branch.
+    // Record per-request span traces (obs/trace.h). Off, StartTrace returns
+    // nullptr and every downstream span record is a skipped branch.
     bool tracing = true;
     // Requests slower than this get a FAST_LOG(WARNING) with their span
     // breakdown and are retained in the slow ring. 0 disables.
     double slow_request_seconds = 0.0;
     // Capacity of the recent-trace ring (the slow ring uses the same).
     std::size_t trace_ring_capacity = 256;
-    // Per-tenant SLO objectives (obs/slo.h); latency_objective_seconds == 0
-    // leaves the engine off. NOTE: appended last — existing call sites
-    // brace-initialize this struct positionally.
+    // Per-tenant SLO objectives (obs/slo.h): a request is good when it
+    // finishes OK within slo.latency_objective_seconds; multi-window burn
+    // rates per tenant, breach/recovery counters in the registry.
+    // latency_objective_seconds == 0 leaves the engine off.
     SloOptions slo;
-    // Breach flight recorder (obs/slo.h); an empty dir leaves it off.
+    // Flight recorder for SLO breaches (obs/slo.h): one bounded, rate-limited
+    // JSON dump (registry snapshot + trace rings + account table) per breach.
+    // An empty dir leaves it off.
     FlightRecorderOptions flight;
   };
 
-  enum class Outcome {
-    kCompleted,
-    kRejectedDeadline,   // deadline passed while queued; never dispatched
-    kCancelledMidrun,    // deadline tripped during the run
-    kFailed,             // pipeline error
-  };
+  using Outcome = RequestOutcome;
 
   explicit RequestObs(const Options& opts);
 
@@ -69,10 +73,10 @@ class RequestObs {
   // RequestOptions::resume_trace.
   std::shared_ptr<RequestTrace> StartTrace() const;
 
-  // Admission-side counters.
-  void OnSubmitted();
-  void OnRejectedQueueFull();
-  void OnRejectedQuota();
+  // Admission-side counters, charged to `tenant_id`'s account row.
+  void OnSubmitted(const std::string& tenant_id);
+  void OnRejectedQueueFull(const std::string& tenant_id);
+  void OnRejectedQuota(const std::string& tenant_id);
 
   // Queue-depth gauge (sampled value, set by the owning service).
   void SetQueueDepth(std::size_t depth);
@@ -82,14 +86,15 @@ class RequestObs {
   // fast_queue_pops_blocked_total / fast_queue_pop_block_ns_total counters.
   void OnPopBlocked(std::uint64_t ns);
 
-  // Finish-side pipeline: bumps the outcome counter, records the latency
-  // and per-span histograms, charges `cost` to the tenant's resource
-  // account, feeds the SLO engine, and retains the trace in the recent ring
-  // (and the slow ring + WARNING log past the threshold). Returns the
-  // frozen trace for the RequestResult, or nullptr when `trace` was null.
+  // Finish-side pipeline: charges the outcome, latency and `cost` to the
+  // tenant's account row, bumps the registry outcome counter, records the
+  // latency and per-span histograms, feeds the SLO engine, and retains the
+  // trace in the recent ring (and the slow ring + WARNING log past the
+  // threshold). Returns the frozen trace for the RequestResult, or nullptr
+  // when `trace` was null.
   std::shared_ptr<const CompletedTrace> OnFinished(
       Outcome outcome, double total_seconds, std::shared_ptr<RequestTrace> trace,
-      std::uint64_t request_id, bool ok, const char* status_name,
+      std::uint64_t request_id, const char* status_name,
       std::string tenant_id = "", const RequestCost& cost = {});
 
   // Newest-last snapshots of the retained traces.
@@ -138,6 +143,8 @@ class RequestObs {
   std::unique_ptr<SloEngine> slo_;       // null when objectives are unset
   std::unique_ptr<FlightRecorder> flight_;  // null when no dump dir
 };
+static_assert(!std::is_aggregate_v<RequestObs::Options>,
+              "RequestObs::Options must not be positionally brace-initializable");
 
 }  // namespace fast::obs
 

@@ -50,17 +50,25 @@ struct TenantRouter::Tenant {
   WrrQueueState wrr;          // deficit-WRR state (util/wrr.h)
   std::size_t in_flight = 0;  // dispatched, not yet finished
   bool removed = false;       // deregistered; admission closed
-
-  // --- Per-tenant counters, guarded by TenantRouter::mu_. ---
-  std::uint64_t submitted = 0;
-  std::uint64_t completed = 0;
-  std::uint64_t failed = 0;
-  std::uint64_t rejected_queue_full = 0;
-  std::uint64_t rejected_quota = 0;
-  std::uint64_t rejected_deadline = 0;
-  std::uint64_t cancelled_midrun = 0;
-  LatencyHistogram latency;
 };
+
+namespace {
+
+// Adds an account row's outcome counters into `out` (a tenant's stats, or the
+// router totals, which add every row).
+template <typename Stats>
+void AddOutcomes(const obs::AccountSnapshot& row, Stats* out) {
+  out->submitted += row.submitted;
+  out->completed += row.completed;
+  out->failed += row.failed;
+  out->rejected_queue_full += row.rejected_queue_full;
+  out->rejected_quota += row.rejected_quota;
+  out->rejected_deadline += row.rejected_deadline;
+  out->cancelled_midrun += row.cancelled_midrun;
+  out->latency.Merge(row.latency);
+}
+
+}  // namespace
 
 std::string RouterStats::Summary() const {
   char buf[360];
@@ -81,10 +89,7 @@ std::string RouterStats::Summary() const {
 
 TenantRouter::TenantRouter(RouterOptions options)
     : options_(std::move(options)),
-      obs_(obs::RequestObs::Options{options_.metrics, options_.tracing,
-                                    options_.slow_request_seconds,
-                                    options_.trace_ring_capacity, options_.slo,
-                                    options_.flight}) {
+      obs_(options_) {
   if (options_.device_mode) {
     // One simulated card shared by every tenant, modeling the service-level
     // device under the service-level variant.
@@ -167,7 +172,7 @@ StatusOr<TenantRouter::RequestId> TenantRouter::Submit(
     queue_full = total_queued_ >= options_.queue_capacity;
   }
   if (queue_full) {
-    CountRejection(*t, /*quota=*/false);
+    obs_.OnRejectedQueueFull(t->id);
     return Status::ResourceExhausted("request queue full");
   }
 
@@ -220,37 +225,16 @@ StatusOr<TenantRouter::RequestId> TenantRouter::Submit(
   }
   if (!admit.ok()) {
     ledger_.Forget(id);
-    if (admit.code() == StatusCode::kResourceExhausted) {
-      CountRejection(*t, quota_reject);
+    if (quota_reject) {
+      obs_.OnRejectedQuota(t->id);
+    } else if (admit.code() == StatusCode::kResourceExhausted) {
+      obs_.OnRejectedQueueFull(t->id);
     }
     return admit;
   }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++submitted_;  // counts admitted requests only
-    ++t->submitted;
-  }
-  obs_.OnSubmitted();
+  obs_.OnSubmitted(t->id);  // counts admitted requests only
   sched_cv_.notify_one();
   return id;
-}
-
-void TenantRouter::CountRejection(Tenant& t, bool quota) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (quota) {
-      ++rejected_quota_;
-      ++t.rejected_quota;
-    } else {
-      ++rejected_queue_full_;
-      ++t.rejected_queue_full;
-    }
-  }
-  if (quota) {
-    obs_.OnRejectedQuota();
-  } else {
-    obs_.OnRejectedQueueFull();
-  }
 }
 
 StatusOr<RequestResult> TenantRouter::Wait(RequestId id) {
@@ -280,12 +264,8 @@ StatusOr<GraphSnapshot> TenantRouter::snapshot(
 
 void TenantRouter::Shutdown() {
   {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (shutdown_) return;
-    shutdown_ = true;
-  }
-  {
     std::lock_guard<util::ProfiledMutex> lock(sched_mu_);
+    if (stopping_) return;
     stopping_ = true;
   }
   // Workers drain the queued backlog, then exit; the shared device shuts
@@ -360,32 +340,15 @@ void TenantRouter::Finish(std::shared_ptr<Request> req, RequestResult result,
                           std::uint64_t cpu_ns) {
   result.total_seconds = req->submitted.ElapsedSeconds();
   Tenant& t = *req->tenant;
-  obs::RequestObs::Outcome outcome;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (result.status.ok()) {
-      ++completed_;
-      ++t.completed;
-      latency_.Record(result.total_seconds);
-      t.latency.Record(result.total_seconds);
-      outcome = obs::RequestObs::Outcome::kCompleted;
-    } else if (result.status.code() == StatusCode::kDeadlineExceeded) {
-      // graph_epoch distinguishes "expired while queued" (never dispatched)
-      // from "aborted mid-run by the cancellation token".
-      if (result.graph_epoch == 0) {
-        ++rejected_deadline_;
-        ++t.rejected_deadline;
-        outcome = obs::RequestObs::Outcome::kRejectedDeadline;
-      } else {
-        ++cancelled_midrun_;
-        ++t.cancelled_midrun;
-        outcome = obs::RequestObs::Outcome::kCancelledMidrun;
-      }
-    } else {
-      ++failed_;
-      ++t.failed;
-      outcome = obs::RequestObs::Outcome::kFailed;
-    }
+  obs::RequestObs::Outcome outcome = obs::RequestObs::Outcome::kCompleted;
+  if (result.status.code() == StatusCode::kDeadlineExceeded) {
+    // graph_epoch distinguishes "expired while queued" (never dispatched)
+    // from "aborted mid-run by the cancellation token".
+    outcome = result.graph_epoch == 0
+                  ? obs::RequestObs::Outcome::kRejectedDeadline
+                  : obs::RequestObs::Outcome::kCancelledMidrun;
+  } else if (!result.status.ok()) {
+    outcome = obs::RequestObs::Outcome::kFailed;
   }
   obs::RequestCost cost;
   cost.cpu_ns = cpu_ns;
@@ -396,7 +359,6 @@ void TenantRouter::Finish(std::shared_ptr<Request> req, RequestResult result,
   cost.plan_cache_bytes = result.plan_bytes_charged;
   result.trace = obs_.OnFinished(outcome, result.total_seconds,
                                  std::move(req->trace), req->id,
-                                 result.status.ok(),
                                  StatusCodeToString(result.status.code()), t.id,
                                  cost);
   {
@@ -409,19 +371,19 @@ void TenantRouter::Finish(std::shared_ptr<Request> req, RequestResult result,
   service::RequestLedger::Deliver(req->id, req->slot, std::move(result));
 }
 
-void TenantRouter::FillTenantStats(const Tenant& t, TenantStats* out) {
-  // Caller holds mu_ (counters); GraphState fields are fetched by the caller
-  // after mu_ is released.
-  out->id = t.id;
-  out->weight = std::max<std::uint32_t>(1, t.opts.weight);
-  out->submitted = t.submitted;
-  out->completed = t.completed;
-  out->failed = t.failed;
-  out->rejected_queue_full = t.rejected_queue_full;
-  out->rejected_quota = t.rejected_quota;
-  out->rejected_deadline = t.rejected_deadline;
-  out->cancelled_midrun = t.cancelled_midrun;
-  out->latency = t.latency;
+// The tenant's stats from a sorted account snapshot (outcome counters) and
+// its GraphState (publication and cache stats).
+TenantStats TenantRouter::MakeTenantStats(
+    const Tenant& t, const std::vector<obs::AccountSnapshot>& accounts) {
+  TenantStats out;
+  out.id = t.id;
+  out.weight = std::max<std::uint32_t>(1, t.opts.weight);
+  if (const obs::AccountSnapshot* row = obs::FindAccount(accounts, t.id)) {
+    AddOutcomes(*row, &out);
+  }
+  t.state.publication_stats(&out.epoch, &out.graph_swaps);
+  out.cache = t.state.cache_stats();
+  return out;
 }
 
 RouterStats TenantRouter::stats() const {
@@ -434,28 +396,15 @@ RouterStats TenantRouter::stats() const {
   std::sort(tenants.begin(), tenants.end(),
             [](const auto& a, const auto& b) { return a->id < b->id; });
 
+  // One account snapshot feeds both the totals and the tenant rows, so the
+  // rows of a fixed tenant set sum to the totals exactly. The totals also
+  // cover removed tenants, whose rows outlive them.
+  const std::vector<obs::AccountSnapshot> accounts = obs_.accounts().Snapshot();
   RouterStats s;
+  for (const obs::AccountSnapshot& row : accounts) AddOutcomes(row, &s);
   s.num_tenants = tenants.size();
-  s.tenants.resize(tenants.size());
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    s.submitted = submitted_;
-    s.completed = completed_;
-    s.failed = failed_;
-    s.rejected_queue_full = rejected_queue_full_;
-    s.rejected_quota = rejected_quota_;
-    s.rejected_deadline = rejected_deadline_;
-    s.cancelled_midrun = cancelled_midrun_;
-    s.latency = latency_;
-    for (std::size_t i = 0; i < tenants.size(); ++i) {
-      FillTenantStats(*tenants[i], &s.tenants[i]);
-    }
-  }
-  for (std::size_t i = 0; i < tenants.size(); ++i) {
-    tenants[i]->state.publication_stats(&s.tenants[i].epoch,
-                                        &s.tenants[i].graph_swaps);
-    s.tenants[i].cache = tenants[i]->state.cache_stats();
-  }
+  s.tenants.reserve(tenants.size());
+  for (const auto& t : tenants) s.tenants.push_back(MakeTenantStats(*t, accounts));
   if (device_ != nullptr) {
     s.device_mode = true;
     s.device = device_->stats();
@@ -468,14 +417,7 @@ StatusOr<TenantStats> TenantRouter::tenant_stats(
     const std::string& tenant_id) const {
   std::shared_ptr<Tenant> t = FindTenant(tenant_id);
   if (t == nullptr) return Status::NotFound("unknown tenant: " + tenant_id);
-  TenantStats s;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    FillTenantStats(*t, &s);
-  }
-  t->state.publication_stats(&s.epoch, &s.graph_swaps);
-  s.cache = t->state.cache_stats();
-  return s;
+  return MakeTenantStats(*t, obs_.accounts().Snapshot());
 }
 
 std::vector<std::string> TenantRouter::tenant_ids() const {

@@ -106,6 +106,9 @@ struct RouterOptions : service::CommonServingOptions {
 static_assert(!std::is_aggregate_v<RouterOptions>,
               "RouterOptions must not be positionally brace-initializable");
 
+// The outcome counters and latency of TenantStats are the tenant's row in
+// the router's account table (obs/accounting.h); RouterStats sums every row,
+// removed tenants included.
 struct TenantStats {
   std::string id;
   std::uint32_t weight = 1;
@@ -164,7 +167,8 @@ class TenantRouter : public service::Frontend {
   // Deregisters `id`: new Submits fail with NOT_FOUND immediately; requests
   // already admitted drain normally on their captured snapshots. Blocks
   // until the tenant has no queued or in-flight requests. The tenant's
-  // stats are discarded with it.
+  // counters stay in the router totals, and a tenant re-added under the same
+  // id continues them (they live in the account table, keyed by id).
   Status RemoveTenant(const std::string& id);
 
   // Frontend: the session key is the tenant id. Canonicalizes q and
@@ -209,8 +213,8 @@ class TenantRouter : public service::Frontend {
   // published epoch >= 1 by construction, so readiness is "not shut down".
   const obs::RequestObs* request_obs() const override { return &obs_; }
   bool ready() const override {
-    std::lock_guard<std::mutex> lock(mu_);
-    return !shutdown_;
+    std::lock_guard<util::ProfiledMutex> lock(sched_mu_);
+    return !stopping_;
   }
   std::vector<obs::TimelineRound> device_rounds() const override {
     return device_ != nullptr ? device_->recent_rounds()
@@ -235,13 +239,13 @@ class TenantRouter : public service::Frontend {
   std::shared_ptr<Request> PopNext();
   void Finish(std::shared_ptr<Request> req, RequestResult result,
               std::uint64_t cpu_ns);
-  // Counts one admission rejection (quota or global queue full) on the
-  // router, the tenant and the registry.
-  void CountRejection(Tenant& t, bool quota);
   std::shared_ptr<Tenant> FindTenant(const std::string& id) const;
-  static void FillTenantStats(const Tenant& t, TenantStats* out);
+  static TenantStats MakeTenantStats(
+      const Tenant& t, const std::vector<obs::AccountSnapshot>& accounts);
 
   const RouterOptions options_;
+  // Counts every request outcome, once, in its account table: stats() and
+  // tenant_stats() read those rows.
   obs::RequestObs obs_;
   Timer uptime_;
   // Id allocation + Wait/callback delivery (service/frontend.h).
@@ -251,8 +255,9 @@ class TenantRouter : public service::Frontend {
   std::unique_ptr<device::DeviceExecutor> device_;
   std::vector<std::thread> workers_;
 
-  // Scheduler state: registry, per-tenant queues, the WRR active list, and
-  // the global queued count. Never held while executing a query.
+  // Scheduler state: registry, per-tenant queues, the WRR active list, the
+  // global queued count and the shutdown flag. Never held while executing a
+  // query.
   mutable util::ProfiledMutex sched_mu_{"router_sched"};
   std::condition_variable_any sched_cv_;    // workers: work available / stopping
   std::condition_variable_any drained_cv_;  // RemoveTenant: tenant fully drained
@@ -260,19 +265,6 @@ class TenantRouter : public service::Frontend {
   std::list<std::shared_ptr<Tenant>> active_;  // tenants with queued work
   std::size_t total_queued_ = 0;
   bool stopping_ = false;
-
-  // All stats counters (global and per-tenant) + the shutdown flag.
-  // Acquired strictly after sched_mu_ is released.
-  mutable std::mutex mu_;
-  std::uint64_t submitted_ = 0;
-  std::uint64_t completed_ = 0;
-  std::uint64_t failed_ = 0;
-  std::uint64_t rejected_queue_full_ = 0;
-  std::uint64_t rejected_quota_ = 0;
-  std::uint64_t rejected_deadline_ = 0;
-  std::uint64_t cancelled_midrun_ = 0;
-  LatencyHistogram latency_;
-  bool shutdown_ = false;
 };
 
 }  // namespace fast::tenant

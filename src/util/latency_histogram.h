@@ -7,9 +7,9 @@
 // Samples are recorded in integer microseconds into 2^k-wide octaves, each
 // split into kSubBuckets linear sub-buckets, bounding the relative
 // quantile error at 1/kSubBuckets (12.5%). Not thread-safe by itself: the
-// service Records into one histogram under its stats mutex and copies it
-// out in stats() snapshots. Merge() supports aggregating independent
-// histograms (e.g. per-phase or per-instance) outside any lock.
+// serving pool's account table (obs/accounting.h) Records into each
+// tenant's histogram under its lock and copies it out in snapshots; the
+// router's stats() Merge()s those copies into its total outside any lock.
 
 #include <cstdint>
 #include <string>

@@ -20,6 +20,7 @@ using obs::AccountSnapshot;
 using obs::MetricsRegistry;
 using obs::MetricsSnapshot;
 using obs::RequestCost;
+using obs::RequestOutcome;
 using obs::ResourceAccounts;
 
 RequestCost MakeCost(std::uint64_t base) {
@@ -42,7 +43,7 @@ std::uint64_t CounterValue(const MetricsSnapshot& snap,
 
 TEST(ResourceAccountsTest, EmptyTenantChargesDefaultAccount) {
   ResourceAccounts accounts;
-  accounts.Charge("", MakeCost(10), /*ok=*/true);
+  accounts.Charge("", RequestOutcome::kCompleted, 0.0, MakeCost(10));
   const auto snap = accounts.Snapshot();
   ASSERT_EQ(snap.size(), 1u);
   EXPECT_EQ(snap[0].tenant, obs::kDefaultAccount);
@@ -54,9 +55,9 @@ TEST(ResourceAccountsTest, EmptyTenantChargesDefaultAccount) {
 
 TEST(ResourceAccountsTest, AggregatesPerTenantAndCountsErrors) {
   ResourceAccounts accounts;
-  accounts.Charge("b", MakeCost(1), /*ok=*/true);
-  accounts.Charge("a", MakeCost(2), /*ok=*/false);
-  accounts.Charge("a", MakeCost(3), /*ok=*/true);
+  accounts.Charge("b", RequestOutcome::kCompleted, 0.0, MakeCost(1));
+  accounts.Charge("a", RequestOutcome::kFailed, 0.0, MakeCost(2));
+  accounts.Charge("a", RequestOutcome::kCompleted, 0.0, MakeCost(3));
   const auto snap = accounts.Snapshot();
   ASSERT_EQ(snap.size(), 2u);
   // Sorted by tenant id.
@@ -76,9 +77,9 @@ TEST(ResourceAccountsTest, AggregatesPerTenantAndCountsErrors) {
 TEST(ResourceAccountsTest, GlobalRegistryCountersMatchPerTenantSums) {
   MetricsRegistry reg;
   ResourceAccounts accounts(&reg);
-  accounts.Charge("a", MakeCost(7), /*ok=*/true);
-  accounts.Charge("b", MakeCost(11), /*ok=*/false);
-  accounts.Charge("", MakeCost(13), /*ok=*/true);
+  accounts.Charge("a", RequestOutcome::kCompleted, 0.0, MakeCost(7));
+  accounts.Charge("b", RequestOutcome::kFailed, 0.0, MakeCost(11));
+  accounts.Charge("", RequestOutcome::kCompleted, 0.0, MakeCost(13));
 
   std::uint64_t requests = 0, errors = 0, cpu = 0, kernel = 0, dma = 0,
                 queue = 0, plan = 0;
@@ -120,8 +121,10 @@ TEST(ResourceAccountsTest, ConcurrentChargesStayConsistent) {
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&accounts, t] {
       for (int i = 0; i < kIters; ++i) {
-        accounts.Charge(t % 2 == 0 ? "even" : "odd", MakeCost(1),
-                        /*ok=*/i % 10 != 0);
+        accounts.Charge(t % 2 == 0 ? "even" : "odd",
+                        i % 10 != 0 ? RequestOutcome::kCompleted
+                                    : RequestOutcome::kFailed,
+                        0.0, MakeCost(1));
       }
     });
   }
@@ -138,7 +141,7 @@ TEST(ResourceAccountsTest, ConcurrentChargesStayConsistent) {
 
 TEST(AccountingExportTest, JsonCarriesEveryCostDimension) {
   ResourceAccounts accounts;
-  accounts.Charge("t0", MakeCost(9), /*ok=*/true);
+  accounts.Charge("t0", RequestOutcome::kCompleted, 0.0, MakeCost(9));
   JsonWriter w;
   obs::WriteAccountsJson(w, accounts.Snapshot());
   const std::string doc = w.Finish();
@@ -154,8 +157,8 @@ TEST(AccountingExportTest, JsonCarriesEveryCostDimension) {
 
 TEST(AccountingExportTest, PrometheusTextLabelsEveryTenant) {
   ResourceAccounts accounts;
-  accounts.Charge("t0", MakeCost(2), /*ok=*/true);
-  accounts.Charge("t1", MakeCost(3), /*ok=*/false);
+  accounts.Charge("t0", RequestOutcome::kCompleted, 0.0, MakeCost(2));
+  accounts.Charge("t1", RequestOutcome::kFailed, 0.0, MakeCost(3));
   const std::string text = obs::AccountsToPrometheusText(accounts.Snapshot());
   EXPECT_NE(text.find("# TYPE fast_tenant_requests_total counter"),
             std::string::npos);

@@ -262,7 +262,7 @@ TEST(RequestObsSloTest, BreachThroughOnFinishedWritesOneDump) {
   // Every request finishes far over the 10ms objective -> pure budget burn.
   for (int i = 0; i < 200; ++i) {
     obs.OnFinished(RequestObs::Outcome::kCompleted, /*total_seconds=*/0.5,
-                   nullptr, /*request_id=*/i, /*ok=*/true, "OK", "tenant-x",
+                   nullptr, /*request_id=*/i, "OK", "tenant-x",
                    cost);
   }
   EXPECT_GE(obs.slo()->total_breaches(), 1u);

@@ -154,11 +154,15 @@ TEST(TraceRingTest, NewestEvictsOldest) {
 
 TEST(RequestObsTest, TracingDisabledYieldsNullTraces) {
   MetricsRegistry reg;
-  RequestObs obs(RequestObs::Options{&reg, /*tracing=*/false, 0.0, 8});
+  RequestObs::Options opts;
+  opts.metrics = &reg;
+  opts.tracing = false;
+  opts.trace_ring_capacity = 8;
+  RequestObs obs(opts);
   EXPECT_EQ(obs.StartTrace(), nullptr);
-  obs.OnSubmitted();
+  obs.OnSubmitted("");
   const auto frozen = obs.OnFinished(RequestObs::Outcome::kCompleted, 0.01,
-                                     nullptr, 1, true, "OK");
+                                     nullptr, 1, "OK");
   EXPECT_EQ(frozen, nullptr);
   EXPECT_TRUE(obs.recent_traces().empty());
   // Registry metrics still flow with tracing off.
@@ -170,14 +174,18 @@ TEST(RequestObsTest, TracingDisabledYieldsNullTraces) {
 
 TEST(RequestObsTest, SlowRequestsAreLoggedCountedAndRetained) {
   MetricsRegistry reg;
-  RequestObs obs(
-      RequestObs::Options{&reg, /*tracing=*/true, /*slow=*/1e-6, 8});
+  RequestObs::Options opts;
+  opts.metrics = &reg;
+  opts.tracing = true;
+  opts.slow_request_seconds = 1e-6;
+  opts.trace_ring_capacity = 8;
+  RequestObs obs(opts);
   auto trace = obs.StartTrace();
   ASSERT_NE(trace, nullptr);
   trace->Begin(Span::kMatch);
   std::this_thread::sleep_for(std::chrono::milliseconds(1));
   const auto frozen = obs.OnFinished(RequestObs::Outcome::kCompleted, 0.001,
-                                     std::move(trace), 9, true, "OK");
+                                     std::move(trace), 9, "OK");
   ASSERT_NE(frozen, nullptr);
   EXPECT_EQ(obs.recent_traces().size(), 1u);
   ASSERT_EQ(obs.slow_traces().size(), 1u);
@@ -187,13 +195,18 @@ TEST(RequestObsTest, SlowRequestsAreLoggedCountedAndRetained) {
 
 TEST(RequestObsTest, PopBlockedFeedsQueueCounters) {
   MetricsRegistry reg;
-  RequestObs obs(RequestObs::Options{&reg, /*tracing=*/false, 0.0, 8});
+  RequestObs::Options opts;
+  opts.metrics = &reg;
+  opts.tracing = false;
+  opts.trace_ring_capacity = 8;
+  RequestObs obs(opts);
   obs.OnPopBlocked(100);
   obs.OnPopBlocked(250);
   EXPECT_EQ(reg.GetCounter("fast_queue_pops_blocked_total")->Value(), 2u);
   EXPECT_EQ(reg.GetCounter("fast_queue_pop_block_ns_total")->Value(), 350u);
   // Without a registry the call is a no-op.
-  RequestObs bare(RequestObs::Options{nullptr, /*tracing=*/false, 0.0, 8});
+  opts.metrics = nullptr;
+  RequestObs bare(opts);
   bare.OnPopBlocked(100);
 }
 

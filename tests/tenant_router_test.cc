@@ -381,6 +381,19 @@ void ExpectAccountsMatchTenantOutcomes(const TenantRouter& router,
   }
 }
 
+// Each account row counts a finished request once, whatever the moment of
+// the read: requests is the sum of the finish outcomes, errors the finished
+// requests that did not complete OK.
+void ExpectAccountRowsAddUp(const TenantRouter& router) {
+  for (const obs::AccountSnapshot& a : router.request_obs()->accounts().Snapshot()) {
+    EXPECT_EQ(a.requests, a.completed + a.failed + a.rejected_deadline +
+                              a.cancelled_midrun)
+        << a.tenant;
+    EXPECT_EQ(a.errors, a.requests - a.completed) << a.tenant;
+    EXPECT_EQ(a.latency.count(), a.completed) << a.tenant;
+  }
+}
+
 TEST(TenantRouterTest, TenantRowsSumToRouterTotals) {
   RouterOptions options = SmallRouterOptions(1);
   options.queue_capacity = 3;
@@ -442,6 +455,7 @@ TEST(TenantRouterTest, TenantRowsSumToRouterTotals) {
   EXPECT_EQ(s.completed, 3u);
   ExpectTenantRowsSumToTotals(s);
   ExpectAccountsMatchTenantOutcomes(router, s);
+  ExpectAccountRowsAddUp(router);
 }
 
 // The same identity read while traffic runs: every stats() snapshot is
@@ -462,6 +476,7 @@ TEST(TenantRouterTest, TenantRowsSumToRouterTotalsUnderTraffic) {
   std::thread reader([&] {
     while (!stop.load()) {
       ExpectTenantRowsSumToTotals(router.stats());
+      ExpectAccountRowsAddUp(router);
       snapshots.fetch_add(1);
     }
   });
@@ -488,6 +503,7 @@ TEST(TenantRouterTest, TenantRowsSumToRouterTotalsUnderTraffic) {
             static_cast<std::uint64_t>(kClients) * kRequestsPerClient);
   ExpectTenantRowsSumToTotals(s);
   ExpectAccountsMatchTenantOutcomes(router, s);
+  ExpectAccountRowsAddUp(router);
 }
 
 // A removed tenant's requests stay in the router totals.
@@ -508,6 +524,28 @@ TEST(TenantRouterTest, RemovedTenantStaysInRouterTotals) {
   EXPECT_EQ(s.submitted, 3u);
   EXPECT_EQ(s.completed, 3u);
   EXPECT_EQ(s.latency.count(), 3u);
+}
+
+// Counters are keyed by tenant id for the router's lifetime: a removed id
+// re-added later continues its counts instead of restarting at zero.
+TEST(TenantRouterTest, ReAddedTenantContinuesItsCounters) {
+  TenantRouter router(SmallRouterOptions(2));
+  ASSERT_TRUE(router.AddTenant("b", PaperDataGraph()).ok());
+  ASSERT_TRUE(router.SubmitAndWait("b", PaperQuery()).ok());
+  ASSERT_TRUE(router.SubmitAndWait("b", TriangleQuery()).ok());
+  ASSERT_TRUE(router.RemoveTenant("b").ok());
+
+  ASSERT_TRUE(router.AddTenant("b", PaperDataGraph()).ok());
+  ASSERT_TRUE(router.SubmitAndWait("b", PaperQuery()).ok());
+  auto tb = router.tenant_stats("b");
+  ASSERT_TRUE(tb.ok());
+  EXPECT_EQ(tb->submitted, 3u);
+  EXPECT_EQ(tb->completed, 3u);
+  EXPECT_EQ(tb->latency.count(), 3u);
+  EXPECT_EQ(tb->epoch, 1u);  // the graph state itself is fresh
+  const tenant::RouterStats s = router.stats();
+  EXPECT_EQ(s.completed, 3u);
+  ExpectTenantRowsSumToTotals(s);
 }
 
 TEST(TenantRouterTest, WeightedRoundRobinHonorsWeights) {
