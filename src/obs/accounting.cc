@@ -13,11 +13,22 @@ std::string AccountName(const std::string& tenant) {
 }
 
 // The row counter of each RequestOutcome, in enum order.
-constexpr std::uint64_t AccountSnapshot::*kOutcomeCounter[] = {
-    &AccountSnapshot::completed, &AccountSnapshot::rejected_deadline,
-    &AccountSnapshot::cancelled_midrun, &AccountSnapshot::failed};
+constexpr std::uint64_t OutcomeCounts::*kOutcomeCounter[] = {
+    &OutcomeCounts::completed, &OutcomeCounts::rejected_deadline,
+    &OutcomeCounts::cancelled_midrun, &OutcomeCounts::failed};
 
 }  // namespace
+
+void OutcomeCounts::Add(const OutcomeCounts& other) {
+  submitted += other.submitted;
+  completed += other.completed;
+  failed += other.failed;
+  rejected_queue_full += other.rejected_queue_full;
+  rejected_quota += other.rejected_quota;
+  rejected_deadline += other.rejected_deadline;
+  cancelled_midrun += other.cancelled_midrun;
+  latency.Merge(other.latency);
+}
 
 ResourceAccounts::ResourceAccounts(MetricsRegistry* metrics)
     : metrics_(metrics) {

@@ -59,19 +59,25 @@ enum class RequestOutcome {
   kFailed,             // pipeline error
 };
 
-// One tenant's accumulated account (also the snapshot row).
-struct AccountSnapshot {
-  std::string tenant;
-  // Admission, counted at Submit.
+// Request outcome counts: one set per tenant in the account table, summed
+// into the router's stats views (tenant/tenant_router.h).
+struct OutcomeCounts {
   std::uint64_t submitted = 0;            // admitted to the queue
-  std::uint64_t rejected_queue_full = 0;  // global queue was full
-  std::uint64_t rejected_quota = 0;       // per-tenant quota exceeded
-  // Finish outcomes: requests == completed + failed + rejected_deadline +
-  // cancelled_midrun, errors == requests - completed.
   std::uint64_t completed = 0;
   std::uint64_t failed = 0;
-  std::uint64_t rejected_deadline = 0;
-  std::uint64_t cancelled_midrun = 0;
+  std::uint64_t rejected_queue_full = 0;  // global queue was full
+  std::uint64_t rejected_quota = 0;       // per-tenant quota exceeded
+  std::uint64_t rejected_deadline = 0;    // deadline passed while queued
+  std::uint64_t cancelled_midrun = 0;     // deadline tripped during the run
+  LatencyHistogram latency;  // Submit -> completion, successful requests
+
+  void Add(const OutcomeCounts& other);
+};
+
+// One tenant's accumulated account (also the snapshot row).
+struct AccountSnapshot : OutcomeCounts {
+  std::string tenant;
+  // requests == completed + failed + rejected_deadline + cancelled_midrun.
   std::uint64_t requests = 0;  // every finished request, any outcome
   std::uint64_t errors = 0;    // finished not-OK
   std::uint64_t cpu_ns = 0;
@@ -79,7 +85,6 @@ struct AccountSnapshot {
   std::uint64_t dma_bytes = 0;
   std::uint64_t queue_wait_ns = 0;
   std::uint64_t plan_cache_bytes = 0;
-  LatencyHistogram latency;  // Submit -> completion, completed requests
 };
 
 class ResourceAccounts {

@@ -32,32 +32,25 @@ namespace fast::obs {
 
 class RequestObs {
  public:
-  // The observability knobs of the serving pool; service::
-  // CommonServingOptions inherits them. Non-aggregate on purpose — set
-  // fields by name.
+  // Non-aggregate on purpose — set fields by name.
   struct Options {
     Options() = default;
 
-    // Process-wide metrics registry to report into. Non-owning; must outlive
-    // the service. nullptr disables all registry metrics (trace rings and
-    // the slow log still work when tracing is on).
+    // Registry to report into; nullptr disables all registry metrics (trace
+    // rings and the slow log still work when tracing is on).
     MetricsRegistry* metrics = nullptr;
-    // Record per-request span traces (obs/trace.h). Off, StartTrace returns
-    // nullptr and every downstream span record is a skipped branch.
+    // Record per-request span traces. Off, StartTrace returns nullptr and
+    // every downstream span record is a skipped branch.
     bool tracing = true;
     // Requests slower than this get a FAST_LOG(WARNING) with their span
     // breakdown and are retained in the slow ring. 0 disables.
     double slow_request_seconds = 0.0;
     // Capacity of the recent-trace ring (the slow ring uses the same).
     std::size_t trace_ring_capacity = 256;
-    // Per-tenant SLO objectives (obs/slo.h): a request is good when it
-    // finishes OK within slo.latency_objective_seconds; multi-window burn
-    // rates per tenant, breach/recovery counters in the registry.
-    // latency_objective_seconds == 0 leaves the engine off.
+    // Per-tenant SLO objectives (obs/slo.h); latency_objective_seconds == 0
+    // leaves the engine off.
     SloOptions slo;
-    // Flight recorder for SLO breaches (obs/slo.h): one bounded, rate-limited
-    // JSON dump (registry snapshot + trace rings + account table) per breach.
-    // An empty dir leaves it off.
+    // Breach flight recorder (obs/slo.h); an empty dir leaves it off.
     FlightRecorderOptions flight;
   };
 

@@ -74,10 +74,7 @@ using SessionKey = std::string;
 // refactor is a bug class this family has been bitten by before, so it is a
 // compile error here — set fields by name.
 
-// The observability knobs (metrics registry, tracing, slow-request log,
-// trace rings, SLO objectives, flight recorder) are obs::RequestObs::Options,
-// inherited whole: the router hands them to its RequestObs unchanged.
-struct CommonServingOptions : obs::RequestObs::Options {
+struct CommonServingOptions {
   CommonServingOptions() = default;
 
   // Worker threads executing the pipeline; 0 = hardware concurrency.
@@ -102,6 +99,27 @@ struct CommonServingOptions : obs::RequestObs::Options {
   // matches it once the device has drained the request's partitions.
   bool device_mode = false;
   device::DeviceOptions device;
+
+  // ---- Observability (src/obs/). ----
+  // Process-wide metrics registry every component reports into. Non-owning;
+  // must outlive the service. nullptr = registry metrics off.
+  obs::MetricsRegistry* metrics = nullptr;
+  // Per-request span tracing (obs/trace.h).
+  bool tracing = true;
+  // Requests slower than this are FAST_LOG(WARNING)-ed with their span
+  // breakdown and retained in the slow-trace ring. 0 disables.
+  double slow_request_seconds = 0.0;
+  // Capacity of the recent-trace ring (the slow ring uses the same).
+  std::size_t trace_ring_capacity = 256;
+  // Per-tenant SLO objectives (obs/slo.h): a request is good when it
+  // finishes OK within slo.latency_objective_seconds; multi-window burn
+  // rates per tenant, breach/recovery counters in the registry.
+  // latency_objective_seconds == 0 leaves the engine off.
+  obs::SloOptions slo;
+  // Flight recorder for SLO breaches (obs/slo.h): one bounded, rate-limited
+  // JSON dump (registry snapshot + trace rings + account table) per breach.
+  // An empty dir leaves it off.
+  obs::FlightRecorderOptions flight;
 };
 static_assert(!std::is_aggregate_v<CommonServingOptions>,
               "CommonServingOptions must not be positionally brace-initializable");

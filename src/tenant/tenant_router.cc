@@ -54,18 +54,15 @@ struct TenantRouter::Tenant {
 
 namespace {
 
-// Adds an account row's outcome counters into `out` (a tenant's stats, or the
-// router totals, which add every row).
-template <typename Stats>
-void AddOutcomes(const obs::AccountSnapshot& row, Stats* out) {
-  out->submitted += row.submitted;
-  out->completed += row.completed;
-  out->failed += row.failed;
-  out->rejected_queue_full += row.rejected_queue_full;
-  out->rejected_quota += row.rejected_quota;
-  out->rejected_deadline += row.rejected_deadline;
-  out->cancelled_midrun += row.cancelled_midrun;
-  out->latency.Merge(row.latency);
+obs::RequestObs::Options ObsOptions(const RouterOptions& options) {
+  obs::RequestObs::Options o;
+  o.metrics = options.metrics;
+  o.tracing = options.tracing;
+  o.slow_request_seconds = options.slow_request_seconds;
+  o.trace_ring_capacity = options.trace_ring_capacity;
+  o.slo = options.slo;
+  o.flight = options.flight;
+  return o;
 }
 
 }  // namespace
@@ -89,7 +86,7 @@ std::string RouterStats::Summary() const {
 
 TenantRouter::TenantRouter(RouterOptions options)
     : options_(std::move(options)),
-      obs_(options_) {
+      obs_(ObsOptions(options_)) {
   if (options_.device_mode) {
     // One simulated card shared by every tenant, modeling the service-level
     // device under the service-level variant.
@@ -379,7 +376,7 @@ TenantStats TenantRouter::MakeTenantStats(
   out.id = t.id;
   out.weight = std::max<std::uint32_t>(1, t.opts.weight);
   if (const obs::AccountSnapshot* row = obs::FindAccount(accounts, t.id)) {
-    AddOutcomes(*row, &out);
+    out.Add(*row);
   }
   t.state.publication_stats(&out.epoch, &out.graph_swaps);
   out.cache = t.state.cache_stats();
@@ -401,7 +398,7 @@ RouterStats TenantRouter::stats() const {
   // cover removed tenants, whose rows outlive them.
   const std::vector<obs::AccountSnapshot> accounts = obs_.accounts().Snapshot();
   RouterStats s;
-  for (const obs::AccountSnapshot& row : accounts) AddOutcomes(row, &s);
+  for (const obs::AccountSnapshot& row : accounts) s.Add(row);
   s.num_tenants = tenants.size();
   s.tenants.reserve(tenants.size());
   for (const auto& t : tenants) s.tenants.push_back(MakeTenantStats(*t, accounts));

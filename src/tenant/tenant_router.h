@@ -65,7 +65,6 @@
 #include "query/query_graph.h"
 #include "service/frontend.h"
 #include "service/graph_state.h"
-#include "util/latency_histogram.h"
 #include "util/profiled_mutex.h"
 #include "util/status.h"
 #include "util/timer.h"
@@ -106,35 +105,19 @@ struct RouterOptions : service::CommonServingOptions {
 static_assert(!std::is_aggregate_v<RouterOptions>,
               "RouterOptions must not be positionally brace-initializable");
 
-// The outcome counters and latency of TenantStats are the tenant's row in
-// the router's account table (obs/accounting.h); RouterStats sums every row,
-// removed tenants included.
-struct TenantStats {
+// The outcome counts of TenantStats are the tenant's row in the router's
+// account table (obs/accounting.h); RouterStats sums every row, removed
+// tenants included.
+struct TenantStats : obs::OutcomeCounts {
   std::string id;
   std::uint32_t weight = 1;
-  std::uint64_t submitted = 0;
-  std::uint64_t completed = 0;
-  std::uint64_t failed = 0;
-  std::uint64_t rejected_queue_full = 0;  // global queue was full
-  std::uint64_t rejected_quota = 0;       // per-tenant quota exceeded
-  std::uint64_t rejected_deadline = 0;    // deadline passed while queued
-  std::uint64_t cancelled_midrun = 0;     // deadline tripped during the run
   std::uint64_t epoch = 0;
   std::uint64_t graph_swaps = 0;
   service::PlanCacheStats cache;
-  LatencyHistogram latency;  // Submit -> completion, successful requests
 };
 
-struct RouterStats {
+struct RouterStats : obs::OutcomeCounts {
   std::size_t num_tenants = 0;
-  std::uint64_t submitted = 0;
-  std::uint64_t completed = 0;
-  std::uint64_t failed = 0;
-  std::uint64_t rejected_queue_full = 0;
-  std::uint64_t rejected_quota = 0;
-  std::uint64_t rejected_deadline = 0;
-  std::uint64_t cancelled_midrun = 0;
-  LatencyHistogram latency;  // aggregate over all tenants
   double uptime_seconds = 0.0;
   bool device_mode = false;
   device::DeviceStats device;  // zero unless device_mode
@@ -244,9 +227,7 @@ class TenantRouter : public service::Frontend {
       const Tenant& t, const std::vector<obs::AccountSnapshot>& accounts);
 
   const RouterOptions options_;
-  // Counts every request outcome, once, in its account table: stats() and
-  // tenant_stats() read those rows.
-  obs::RequestObs obs_;
+  obs::RequestObs obs_;  // its account table is what stats() reads
   Timer uptime_;
   // Id allocation + Wait/callback delivery (service/frontend.h).
   service::RequestLedger ledger_;
