@@ -20,6 +20,7 @@
 #include "service/query_signature.h"
 #include "tests/test_util.h"
 #include "util/latency_histogram.h"
+#include "util/timer.h"
 
 namespace fast {
 namespace {
@@ -448,6 +449,15 @@ TEST(MatchServiceTest, CacheEvictionKeepsResultsCorrect) {
   EXPECT_LE(stats.cache.entries, 2u);
 }
 
+// Sets `release` once `since` shows more than `seconds` elapsed: the
+// deadline tests hold their blocking callback on that flag instead of
+// sleeping a fixed time and hoping the deadline has passed.
+void ReleaseAfter(double seconds, const Timer& since,
+                  std::atomic<bool>& release) {
+  while (since.ElapsedSeconds() <= seconds) std::this_thread::yield();
+  release.store(true);
+}
+
 TEST(MatchServiceTest, DeadlinePassedInQueueRejects) {
   const Graph g = PaperDataGraph();
   ServiceOptions options = SmallServiceOptions(1);
@@ -455,20 +465,23 @@ TEST(MatchServiceTest, DeadlinePassedInQueueRejects) {
 
   // Block the single worker inside a request via its embedding callback.
   std::atomic<bool> started{false};
+  std::atomic<bool> release{false};
   RequestOptions blocker_opts;
   blocker_opts.on_embedding = [&](std::span<const VertexId>) {
     started.store(true);
-    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    while (!release.load()) std::this_thread::yield();
   };
   auto blocker = svc.Submit(PaperQuery(), blocker_opts);
   ASSERT_TRUE(blocker.ok());
   while (!started.load()) std::this_thread::yield();
 
-  // This request waits >= ~200ms in the queue but allows only 1ms.
+  // This request allows only 1ms, and stays queued until that has passed:
+  // the timer starts after the request's own admission clock.
   RequestOptions tight;
   tight.deadline_seconds = 0.001;
   auto late = svc.Submit(TriangleQuery(), tight);
   ASSERT_TRUE(late.ok());
+  ReleaseAfter(tight.deadline_seconds, Timer(), release);
 
   auto late_result = svc.Wait(*late);
   EXPECT_EQ(late_result->status.code(), StatusCode::kDeadlineExceeded);
@@ -495,17 +508,24 @@ TEST(MatchServiceTest, DeadlineExpiringMidRunAbortsMatching) {
   MatchService svc(std::move(b).Build().value(), options);
 
   std::atomic<int> seen{0};
+  std::atomic<bool> started{false};
+  std::atomic<bool> release{false};
   RequestOptions opts;
   opts.deadline_seconds = 0.05;
   opts.on_embedding = [&](std::span<const VertexId>) {
     // Burn through the deadline inside the run; dispatch happened long
     // before it expired, so only mid-run enforcement can reject this.
     if (seen.fetch_add(1) == 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(200));
+      started.store(true);
+      while (!release.load()) std::this_thread::yield();
     }
   };
   auto r = svc.Submit(TriangleQuery(), opts);
   ASSERT_TRUE(r.ok());
+  // The run armed its deadline before the first embedding, so a timer
+  // started after that embedding outlasts it.
+  while (!started.load()) std::this_thread::yield();
+  ReleaseAfter(opts.deadline_seconds, Timer(), release);
   auto result = svc.Wait(*r);
   EXPECT_EQ(result->status.code(), StatusCode::kDeadlineExceeded);
   // Dispatched (epoch captured), then aborted mid-run — not a queue reject.
@@ -643,15 +663,20 @@ TEST(MatchServiceTest, DeviceModeDeadlineExpiringMidRunAborts) {
   MatchService svc(std::move(b).Build().value(), options);
 
   std::atomic<int> seen{0};
+  std::atomic<bool> started{false};
+  std::atomic<bool> release{false};
   RequestOptions opts;
   opts.deadline_seconds = 0.05;
   opts.on_embedding = [&](std::span<const VertexId>) {
     if (seen.fetch_add(1) == 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(200));
+      started.store(true);
+      while (!release.load()) std::this_thread::yield();
     }
   };
   auto r = svc.Submit(TriangleQuery(), opts);
   ASSERT_TRUE(r.ok());
+  while (!started.load()) std::this_thread::yield();
+  ReleaseAfter(opts.deadline_seconds, Timer(), release);
   auto result = svc.Wait(*r);
   EXPECT_EQ(result->status.code(), StatusCode::kDeadlineExceeded);
   EXPECT_GT(result->graph_epoch, 0u);  // aborted mid-run, not while queued

@@ -6,9 +6,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <chrono>
 #include <mutex>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -18,6 +20,7 @@
 #include "obs/metrics.h"
 #include "tenant/tenant_router.h"
 #include "tests/test_util.h"
+#include "util/timer.h"
 
 namespace fast {
 namespace {
@@ -424,12 +427,15 @@ TEST(TenantRouterTest, TenantRowsSumToRouterTotals) {
   short_deadline.deadline_seconds = 1e-3;
   auto b_expiring = router.Submit("b", PaperQuery(), short_deadline);
   ASSERT_TRUE(b_expiring.ok());
+  const Timer since_expiring;  // started after the request's own clock
   auto b_queued = router.Submit("b", TriangleQuery());
   ASSERT_TRUE(b_queued.ok());
   // Three queued: the global bound rejects the next "b".
   EXPECT_EQ(router.Submit("b", PaperQuery()).status().code(),
             StatusCode::kResourceExhausted);
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  while (since_expiring.ElapsedSeconds() <= short_deadline.deadline_seconds) {
+    std::this_thread::yield();
+  }
 
   release.store(true);
   EXPECT_TRUE(router.Wait(*blocker)->status.ok());
@@ -546,6 +552,183 @@ TEST(TenantRouterTest, ReAddedTenantContinuesItsCounters) {
   const tenant::RouterStats s = router.stats();
   EXPECT_EQ(s.completed, 3u);
   ExpectTenantRowsSumToTotals(s);
+}
+
+// SLO objectives that make every completed request GOOD and every deadline
+// rejection BAD, with windows wide enough that a test's records all count:
+// burn == 2 * bad / total, and a tenant breaches at half its requests bad.
+obs::SloOptions CountingSloOptions() {
+  obs::SloOptions slo;
+  slo.latency_objective_seconds = 3600.0;
+  slo.target = 0.5;
+  slo.short_window_seconds = 3600.0;
+  slo.long_window_seconds = 7200.0;
+  slo.breach_burn_rate = 1.0;
+  return slo;
+}
+
+// The account rows minus their wall-clock fields (cpu_ns, queue_wait_ns,
+// latency values), one line per row.
+std::string DeterministicAccountRows(const std::vector<obs::AccountSnapshot>& rows) {
+  std::string out;
+  for (const obs::AccountSnapshot& a : rows) {
+    char buf[512];
+    std::snprintf(buf, sizeof(buf),
+                  "%s submitted=%llu completed=%llu failed=%llu "
+                  "rejected_queue_full=%llu rejected_quota=%llu "
+                  "rejected_deadline=%llu cancelled_midrun=%llu latency_n=%llu "
+                  "requests=%llu errors=%llu device_kernel_ns=%llu "
+                  "dma_bytes=%llu plan_cache_bytes=%llu\n",
+                  a.tenant.c_str(), static_cast<unsigned long long>(a.submitted),
+                  static_cast<unsigned long long>(a.completed),
+                  static_cast<unsigned long long>(a.failed),
+                  static_cast<unsigned long long>(a.rejected_queue_full),
+                  static_cast<unsigned long long>(a.rejected_quota),
+                  static_cast<unsigned long long>(a.rejected_deadline),
+                  static_cast<unsigned long long>(a.cancelled_midrun),
+                  static_cast<unsigned long long>(a.latency.count()),
+                  static_cast<unsigned long long>(a.requests),
+                  static_cast<unsigned long long>(a.errors),
+                  static_cast<unsigned long long>(a.device_kernel_ns),
+                  static_cast<unsigned long long>(a.dma_bytes),
+                  static_cast<unsigned long long>(a.plan_cache_bytes));
+    out += buf;
+  }
+  return out;
+}
+
+// The Prometheus account text with the values of the two wall-clock
+// families replaced by "*".
+std::string MaskWallClockFamilies(const std::string& text) {
+  std::string out;
+  std::size_t pos = 0;
+  while (pos < text.size()) {
+    std::size_t end = text.find('\n', pos);
+    if (end == std::string::npos) end = text.size();
+    std::string line = text.substr(pos, end - pos);
+    if (line.rfind("fast_tenant_cpu_ns_total{", 0) == 0 ||
+        line.rfind("fast_tenant_queue_wait_ns_total{", 0) == 0) {
+      line = line.substr(0, line.rfind(' ') + 1) + "*";
+    }
+    out += line + "\n";
+    pos = end + 1;
+  }
+  return out;
+}
+
+std::string SloStates(const std::vector<obs::SloTenantState>& states) {
+  std::string out;
+  for (const obs::SloTenantState& s : states) {
+    char buf[320];
+    std::snprintf(buf, sizeof(buf),
+                  "%s short=%.3f/%llu/%llu long=%.3f/%llu/%llu breached=%d "
+                  "breaches=%llu recoveries=%llu\n",
+                  s.tenant.c_str(), s.short_burn,
+                  static_cast<unsigned long long>(s.short_total),
+                  static_cast<unsigned long long>(s.short_bad), s.long_burn,
+                  static_cast<unsigned long long>(s.long_total),
+                  static_cast<unsigned long long>(s.long_bad),
+                  s.breached ? 1 : 0, static_cast<unsigned long long>(s.breaches),
+                  static_cast<unsigned long long>(s.recoveries));
+    out += buf;
+  }
+  return out;
+}
+
+// Golden admin output for a fixed two-tenant sequence: admit, quota reject,
+// a deadline rejection, finish, then remove and re-add one id. Pins the
+// account rows, the fast_tenant_* text and the SLO states (at an injected
+// time inside every window), so a change to how a tenant's rows and windows
+// are stored cannot change what the admin plane serves.
+TEST(TenantRouterTest, AdminOutputIsPinnedAcrossRemoveAndReAdd) {
+  RouterOptions options = SmallRouterOptions(1);
+  options.slo = CountingSloOptions();
+  TenantRouter router(options);
+  TenantOptions quota1;
+  quota1.max_queued = 1;
+  ASSERT_TRUE(router.AddTenant("a", PaperDataGraph(), quota1).ok());
+  ASSERT_TRUE(router.AddTenant("b", PaperDataGraph()).ok());
+
+  // Park the single worker on "a" so the submissions below stay queued.
+  std::atomic<bool> started{false};
+  std::atomic<bool> release{false};
+  RequestOptions blocker_opts;
+  blocker_opts.on_embedding = [&](std::span<const VertexId>) {
+    started.store(true);
+    while (!release.load()) std::this_thread::yield();
+  };
+  auto blocker = router.Submit("a", PaperQuery(), blocker_opts);
+  ASSERT_TRUE(blocker.ok());
+  while (!started.load()) std::this_thread::yield();
+
+  RequestOptions short_deadline;
+  short_deadline.deadline_seconds = 1e-3;
+  auto a_expiring = router.Submit("a", TriangleQuery(), short_deadline);
+  ASSERT_TRUE(a_expiring.ok());
+  const Timer since_admit;  // started after the request's own clock
+  EXPECT_EQ(router.Submit("a", PaperQuery()).status().code(),
+            StatusCode::kResourceExhausted);
+  auto b_queued = router.Submit("b", TriangleQuery());
+  ASSERT_TRUE(b_queued.ok());
+  while (since_admit.ElapsedSeconds() <= short_deadline.deadline_seconds) {
+    std::this_thread::yield();
+  }
+  release.store(true);
+  EXPECT_TRUE(router.Wait(*blocker)->status.ok());
+  EXPECT_EQ(router.Wait(*a_expiring)->status.code(),
+            StatusCode::kDeadlineExceeded);
+  EXPECT_TRUE(router.Wait(*b_queued)->status.ok());
+
+  ASSERT_TRUE(router.RemoveTenant("b").ok());
+  ASSERT_TRUE(router.AddTenant("b", PaperDataGraph()).ok());
+  ASSERT_TRUE(router.SubmitAndWait("b", PaperQuery()).ok());
+
+  const obs::RequestObs& ro = *router.request_obs();
+  const std::vector<obs::AccountSnapshot> rows = ro.accounts().Snapshot();
+  EXPECT_EQ(DeterministicAccountRows(rows),
+            "a submitted=2 completed=1 failed=0 rejected_queue_full=0 "
+            "rejected_quota=1 rejected_deadline=1 cancelled_midrun=0 "
+            "latency_n=1 requests=2 errors=1 device_kernel_ns=394 "
+            "dma_bytes=372 plan_cache_bytes=264\n"
+            "b submitted=2 completed=2 failed=0 rejected_queue_full=0 "
+            "rejected_quota=0 rejected_deadline=0 cancelled_midrun=0 "
+            "latency_n=2 requests=2 errors=0 device_kernel_ns=735 "
+            "dma_bytes=616 plan_cache_bytes=436\n");
+  EXPECT_EQ(MaskWallClockFamilies(obs::AccountsToPrometheusText(rows)),
+            "# HELP fast_tenant_requests_total Finished requests per tenant\n"
+            "# TYPE fast_tenant_requests_total counter\n"
+            "fast_tenant_requests_total{tenant=\"a\"} 2\n"
+            "fast_tenant_requests_total{tenant=\"b\"} 2\n"
+            "# HELP fast_tenant_errors_total Finished not-OK requests per tenant\n"
+            "# TYPE fast_tenant_errors_total counter\n"
+            "fast_tenant_errors_total{tenant=\"a\"} 1\n"
+            "fast_tenant_errors_total{tenant=\"b\"} 0\n"
+            "# HELP fast_tenant_cpu_ns_total Worker thread-CPU nanoseconds per tenant\n"
+            "# TYPE fast_tenant_cpu_ns_total counter\n"
+            "fast_tenant_cpu_ns_total{tenant=\"a\"} *\n"
+            "fast_tenant_cpu_ns_total{tenant=\"b\"} *\n"
+            "# HELP fast_tenant_device_kernel_ns_total Simulated device kernel nanoseconds per tenant\n"
+            "# TYPE fast_tenant_device_kernel_ns_total counter\n"
+            "fast_tenant_device_kernel_ns_total{tenant=\"a\"} 394\n"
+            "fast_tenant_device_kernel_ns_total{tenant=\"b\"} 735\n"
+            "# HELP fast_tenant_dma_bytes_total Simulated PCIe bytes per tenant\n"
+            "# TYPE fast_tenant_dma_bytes_total counter\n"
+            "fast_tenant_dma_bytes_total{tenant=\"a\"} 372\n"
+            "fast_tenant_dma_bytes_total{tenant=\"b\"} 616\n"
+            "# HELP fast_tenant_queue_wait_ns_total Submit->dispatch nanoseconds per tenant\n"
+            "# TYPE fast_tenant_queue_wait_ns_total counter\n"
+            "fast_tenant_queue_wait_ns_total{tenant=\"a\"} *\n"
+            "fast_tenant_queue_wait_ns_total{tenant=\"b\"} *\n"
+            "# HELP fast_tenant_plan_cache_bytes_total Compiled-plan partition bytes inserted per tenant\n"
+            "# TYPE fast_tenant_plan_cache_bytes_total counter\n"
+            "fast_tenant_plan_cache_bytes_total{tenant=\"a\"} 264\n"
+            "fast_tenant_plan_cache_bytes_total{tenant=\"b\"} 436\n");
+  ASSERT_NE(ro.slo(), nullptr);
+  EXPECT_EQ(SloStates(ro.slo()->StateSnapshot(/*now_seconds=*/60.0)),
+            "a short=1.000/2/1 long=1.000/2/1 breached=1 breaches=1 "
+            "recoveries=0\n"
+            "b short=0.000/2/0 long=0.000/2/0 breached=0 breaches=0 "
+            "recoveries=0\n");
 }
 
 TEST(TenantRouterTest, WeightedRoundRobinHonorsWeights) {
