@@ -5,9 +5,6 @@
 #include <cstdio>
 #include <deque>
 #include <optional>
-#include <set>
-#include <string_view>
-#include <tuple>
 #include <utility>
 
 #include "core/kernel.h"
@@ -24,16 +21,13 @@ namespace {
 constexpr std::size_t kRecentRoundsCapacity = 2048;
 }  // namespace
 
-// One query session: identity for fairness/dedup, the per-query sinks the
+// One query session: the queue it is scheduled on, the per-query sinks the
 // device thread feeds, and the completion latch FinishQuery waits on.
 struct DeviceQuery {
-  std::string queue_key;
-  std::uint64_t epoch = 0;
-  std::string plan_key;
+  std::shared_ptr<DeviceQueue> queue;
   MatchingOrder order;
   ResultCollector* collector = nullptr;
   const CancelToken* cancel = nullptr;
-  std::size_t parts = 0;  // partitions enqueued so far (guarded by executor mu_)
 
   std::mutex mu;
   std::condition_variable cv;
@@ -45,14 +39,15 @@ struct DeviceQuery {
 struct DeviceExecutor::WorkItem {
   std::shared_ptr<DeviceQuery> query;
   CompiledPartition part;
-  std::size_t part_index = 0;  // emission order within the query's plan
 };
 
-// Per-queue-key scheduler state, guarded by DeviceExecutor::mu_. Fairness
-// state lives in the shared WRR helper (util/wrr.h) — the same discipline
-// tenant::TenantRouter dispatches with.
-struct DeviceExecutor::Queue {
-  std::deque<WorkItem> items;
+// One fairness queue: its executor, and the pending items and WRR state
+// guarded by that executor's mu_. Fairness state lives in the shared WRR
+// helper (util/wrr.h) — the same discipline tenant::TenantRouter dispatches
+// with.
+struct DeviceQueue {
+  DeviceExecutor* device = nullptr;
+  std::deque<DeviceExecutor::WorkItem> items;
   WrrQueueState wrr;
 };
 
@@ -99,31 +94,19 @@ DeviceExecutor::DeviceExecutor(DeviceOptions options)
 
 DeviceExecutor::~DeviceExecutor() { Shutdown(); }
 
-void DeviceExecutor::SetQueueWeight(const std::string& key,
-                                    std::uint32_t weight) {
-  std::lock_guard<util::ProfiledMutex> lock(mu_);
-  std::shared_ptr<Queue>& q = queues_[key];
-  if (q == nullptr) q = std::make_shared<Queue>();
-  q->wrr.weight = std::max<std::uint32_t>(1, weight);
-}
-
-void DeviceExecutor::DropQueue(const std::string& key) {
-  std::lock_guard<util::ProfiledMutex> lock(mu_);
-  auto it = queues_.find(key);
-  if (it != queues_.end() && it->second->items.empty() &&
-      !it->second->wrr.in_active) {
-    queues_.erase(it);
-  }
+std::shared_ptr<DeviceQueue> DeviceExecutor::OpenQueue(std::uint32_t weight) {
+  auto queue = std::make_shared<DeviceQueue>();
+  queue->device = this;
+  queue->wrr.weight = std::max<std::uint32_t>(1, weight);
+  return queue;
 }
 
 std::shared_ptr<DeviceQuery> DeviceExecutor::BeginQuery(
-    std::string_view queue_key, std::uint64_t epoch,
-    std::string_view plan_key, const MatchingOrder& order,
+    std::shared_ptr<DeviceQueue> queue, const MatchingOrder& order,
     ResultCollector* collector, const CancelToken* cancel) {
+  FAST_CHECK(queue->device == this);
   auto query = std::make_shared<DeviceQuery>();
-  query->queue_key = queue_key;
-  query->epoch = epoch;
-  query->plan_key = plan_key;
+  query->queue = std::move(queue);
   query->order = order;
   query->collector = collector;
   query->cancel = cancel;
@@ -132,9 +115,7 @@ std::shared_ptr<DeviceQuery> DeviceExecutor::BeginQuery(
 
 Status DeviceExecutor::EnqueuePartition(
     const std::shared_ptr<DeviceQuery>& query, CompiledPartition part) {
-  WorkItem item;
-  item.query = query;
-  item.part = std::move(part);
+  WorkItem item{query, std::move(part)};
   {
     std::unique_lock<util::ProfiledMutex> lock(mu_);
     // Back-pressure, not rejection: dropping one partition of a query would
@@ -148,19 +129,16 @@ Status DeviceExecutor::EnqueuePartition(
     if (stopping_) {
       return Status::FailedPrecondition("device executor is shut down");
     }
-    item.part_index = query->parts++;
-    std::shared_ptr<Queue>& q = queues_[query->queue_key];
-    if (q == nullptr) q = std::make_shared<Queue>();
     {
       std::lock_guard<std::mutex> qlock(query->mu);
       ++query->outstanding;
     }
-    q->items.push_back(std::move(item));
+    query->queue->items.push_back(std::move(item));
     ++total_queued_;
     if (queue_depth_gauge_ != nullptr) {
       queue_depth_gauge_->Set(static_cast<double>(total_queued_));
     }
-    WrrActivate(active_, q);
+    WrrActivate(active_, query->queue);
   }
   cv_.notify_one();
   return Status::OK();
@@ -245,13 +223,13 @@ std::vector<DeviceExecutor::WorkItem> DeviceExecutor::PopRound() {
     FAST_CHECK(!active_.empty());
     round.push_back(WrrPop(
         active_,
-        [](Queue& q) {
+        [](DeviceQueue& q) {
           FAST_CHECK(!q.items.empty());
           WorkItem item = std::move(q.items.front());
           q.items.pop_front();
           return item;
         },
-        [](const Queue& q) { return q.items.empty(); }));
+        [](const DeviceQueue& q) { return q.items.empty(); }));
     --total_queued_;
   }
   if (queue_depth_gauge_ != nullptr) {
@@ -283,23 +261,21 @@ void DeviceExecutor::RunRound(std::vector<WorkItem> round) {
     }
   }
 
-  // --- Transfer phase: ONE DMA transaction for the whole round. Identical
-  // images (same queue key, epoch, plan and partition index → bit-identical
-  // CSTs) cross the bus once; duplicates ride free. ---
+  // --- Transfer phase: ONE DMA transaction for the whole round. A partition
+  // shared by several items (queries replaying one cached plan) crosses the
+  // bus once; the duplicates ride free. A round holds at most max_batch
+  // items, so a linear scan finds the duplicates. ---
   std::uint64_t payload = 0;
   std::uint64_t saved = 0;
   std::vector<std::size_t> contributed(round.size(), 0);
-  std::set<std::tuple<std::string_view, std::uint64_t, std::string_view,
-                      std::size_t>>
-      seen;
+  std::vector<const Cst*> sent;
+  sent.reserve(round.size());
   for (std::size_t i = 0; i < round.size(); ++i) {
     if (!live[i]) continue;
-    const DeviceQuery& q = *round[i].query;
-    const auto key = std::make_tuple(std::string_view(q.queue_key), q.epoch,
-                                     std::string_view(q.plan_key),
-                                     round[i].part_index);
+    const Cst* cst = round[i].part.cst.get();
     const std::size_t bytes = round[i].part.wire_bytes;
-    if (seen.insert(key).second) {
+    if (std::find(sent.begin(), sent.end(), cst) == sent.end()) {
+      sent.push_back(cst);
       payload += bytes;
       contributed[i] = bytes;
     } else {
@@ -329,7 +305,7 @@ void DeviceExecutor::RunRound(std::vector<WorkItem> round) {
     double kernel_seconds = 0.0;
   };
   std::vector<ItemOutcome> outcomes(round.size());
-  std::set<const DeviceQuery*> round_queries;
+  std::vector<const DeviceQuery*> round_queries;  // distinct, executed
   double round_kernel = 0.0;
   std::uint64_t executed = 0;
   std::uint64_t cancelled = 0;
@@ -382,7 +358,10 @@ void DeviceExecutor::RunRound(std::vector<WorkItem> round) {
     outcomes[i].kernel_seconds = kernel_s;
     if (outcomes[i].status.ok()) {
       ++executed;
-      round_queries.insert(&q);
+      if (std::find(round_queries.begin(), round_queries.end(), &q) ==
+          round_queries.end()) {
+        round_queries.push_back(&q);
+      }
       round_kernel += kernel_s;
     } else if (outcomes[i].status.code() == StatusCode::kDeadlineExceeded) {
       ++cancelled;
@@ -494,14 +473,20 @@ std::vector<obs::TimelineRound> DeviceExecutor::recent_rounds() const {
   return {recent_rounds_.begin(), recent_rounds_.end()};
 }
 
+DevicePlacement::DevicePlacement(const std::shared_ptr<DeviceQueue>& queue)
+    : CardPlacement(queue->device->options().fpga,
+                    queue->device->options().variant, obs::Span::kDeviceWait,
+                    obs::Span::kReassembly),
+      device_(*queue->device),
+      queue_(queue) {}
+
 void DevicePlacement::Begin(const MatchingOrder& order,
                             ResultCollector* collector,
                             const CancelToken* cancel, FastRunResult* result) {
   // The collector lives on the pipeline's stack; only the device thread
   // touches it between here and FinishQuery, which synchronizes the handoff
   // back.
-  session_ = device_.BeginQuery(queue_key_, epoch_, plan_key_, order,
-                                collector, cancel);
+  session_ = device_.BeginQuery(queue_, order, collector, cancel);
   result_ = result;
 }
 

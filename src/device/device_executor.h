@@ -4,7 +4,7 @@
 // Shared device executor: ONE simulated FPGA serving partition work from many
 // in-flight queries — across tenants — through a multi-queue front.
 //
-//   workers ── BeginQuery ──▶ per-tenant item queues (one per queue key)
+//   workers ── BeginQuery ──▶ per-tenant item queues (OpenQueue handles)
 //      │       EnqueuePartition        │
 //      │   (shared CST partitions,     │  deficit-weighted round robin
 //      │    pinned to the request's    ▼
@@ -25,19 +25,22 @@
 // The pipeline's inline placement (core/driver.h) simulates a *private*
 // device per request: every query pays its own PCIe transaction and the card
 // idles between requests. DevicePlacement (below) feeds this executor
-// instead; it is the same pipeline with another placement. This executor is the FAST co-design applied across
-// requests: CST partitions from concurrent queries — and concurrent tenants —
-// are batched into device rounds, so the fixed per-DMA-transaction cost
-// (descriptor setup, doorbell, completion — modeled as
-// `transfer_overhead_bytes` of PCIe-equivalent bytes) is paid once per ROUND
-// instead of once per partition, and identical partition images (same tenant,
-// epoch, plan and partition index — e.g. two in-flight requests for the same
-// canonical query shape) cross the bus once.
+// instead; it is the same pipeline with another placement. This executor is
+// the FAST co-design applied across requests: CST partitions from concurrent
+// queries — and concurrent tenants — are batched into device rounds, so the
+// fixed per-DMA-transaction cost (descriptor setup, doorbell, completion —
+// modeled as `transfer_overhead_bytes` of PCIe-equivalent bytes) is paid
+// once per ROUND instead of once per partition, and a partition shared by
+// several items of a round crosses the bus once. Partitions are shared when
+// requests replay one cached CompiledPlan (e.g. two in-flight plan-cache
+// hits for the same canonical query shape); two misses of one shape build
+// two copies, and each copy is transferred.
 //
 // Fairness reuses the deficit-weighted round-robin discipline of
-// tenant::TenantRouter: each queue key (tenant) spends up to `weight` credits
-// per cycle over the backlogged queues, so a hot tenant flooding the device
-// with partitions cannot starve a cold tenant's round slots.
+// tenant::TenantRouter: each queue (a tenant's, opened once with its weight)
+// spends up to `weight` credits per cycle over the backlogged queues, so a
+// hot tenant flooding the device with partitions cannot starve a cold
+// tenant's round slots.
 //
 // Deadlines: every item carries its request's CancelToken. The scheduler
 // probes it mid-batch — before the item's transfer and again before matching
@@ -57,9 +60,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <string_view>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "core/compiled_plan.h"
@@ -157,8 +158,9 @@ struct DeviceQueryResult {
   std::uint64_t last_round = 0;
 };
 
-// Opaque per-query handle; defined in the .cc.
-struct DeviceQuery;
+// Opaque handles; defined in the .cc.
+struct DeviceQueue;  // one fairness queue (a tenant's)
+struct DeviceQuery;  // one query session
 
 class DeviceExecutor {
  public:
@@ -168,32 +170,27 @@ class DeviceExecutor {
   DeviceExecutor(const DeviceExecutor&) = delete;
   DeviceExecutor& operator=(const DeviceExecutor&) = delete;
 
-  // Registers (or updates) the WRR weight of `key`'s queue: consecutive
-  // dispatch slots per cycle over the backlogged queues. 0 is treated as 1.
-  void SetQueueWeight(const std::string& key, std::uint32_t weight);
+  // Opens a fairness queue whose WRR weight — consecutive round slots per
+  // cycle over the backlogged queues — is `weight` (0 is treated as 1). The
+  // queue lives as long as the handle and the queries begun on it;
+  // tenant::TenantRouter opens one per tenant when it registers the tenant.
+  std::shared_ptr<DeviceQueue> OpenQueue(std::uint32_t weight = 1);
 
-  // Drops `key`'s queue bookkeeping once it is empty (no-op otherwise).
-  // Callers drain the tenant's requests first (tenant::TenantRouter does).
-  void DropQueue(const std::string& key);
-
-  // Opens a query session. `queue_key` selects the fairness queue (tenant
-  // id); `epoch` and `plan_key` identify the CST image for cross-query
-  // transfer dedup (partitions of the same plan built on the same snapshot
-  // are bit-identical). `collector` and `cancel` are borrowed; the caller
-  // keeps both alive until FinishQuery returns. The collector is only
-  // touched from the device thread until then.
-  std::shared_ptr<DeviceQuery> BeginQuery(std::string_view queue_key,
-                                          std::uint64_t epoch,
-                                          std::string_view plan_key,
+  // Opens a query session on `queue` (from this executor's OpenQueue).
+  // `collector` and `cancel` are borrowed; the caller keeps both alive until
+  // FinishQuery returns. The collector is only touched from the device
+  // thread until then.
+  std::shared_ptr<DeviceQuery> BeginQuery(std::shared_ptr<DeviceQueue> queue,
                                           const MatchingOrder& order,
                                           ResultCollector* collector,
                                           const CancelToken* cancel);
 
   // Enqueues one CST partition of `query`. The partition is shared, not
   // copied: the device thread reads it until the item's round ends, so a
-  // cached plan's partitions can be enqueued by any number of queries.
-  // Blocks on back-pressure; FAILED_PRECONDITION after Shutdown. Call from
-  // one thread per query.
+  // cached plan's partitions can be enqueued by any number of queries — and
+  // items of one round that share a partition transfer it once. Blocks on
+  // back-pressure; FAILED_PRECONDITION after Shutdown. Call from one thread
+  // per query.
   Status EnqueuePartition(const std::shared_ptr<DeviceQuery>& query,
                           CompiledPartition part);
 
@@ -226,8 +223,8 @@ class DeviceExecutor {
   std::vector<obs::TimelineRound> recent_rounds() const;
 
  private:
+  friend struct DeviceQueue;
   struct WorkItem;
-  struct Queue;
 
   void DeviceLoop();
   // Pops the next round under WRR, holding the batch open for the window;
@@ -237,14 +234,14 @@ class DeviceExecutor {
 
   const DeviceOptions options_;
 
-  // Scheduler state: queues, the WRR active list, the global queued count.
+  // Scheduler state: the queues' items and WRR state, the active list, the
+  // global queued count.
   // Never held while matching. Contention-profiled as "device_sched" (the
   // condition variables are _any variants so they can wait on it).
   mutable util::ProfiledMutex mu_{"device_sched"};
   std::condition_variable_any cv_;        // device: work available / stopping
   std::condition_variable_any space_cv_;  // submitters: back-pressure released
-  std::unordered_map<std::string, std::shared_ptr<Queue>> queues_;
-  std::list<std::shared_ptr<Queue>> active_;  // queues with pending items
+  std::list<std::shared_ptr<DeviceQueue>> active_;  // queues with pending items
   std::size_t total_queued_ = 0;
   bool rounds_held_ = false;
   bool stopping_ = false;
@@ -269,23 +266,17 @@ class DeviceExecutor {
 };
 
 // The shared-device placement of the pipeline (core/driver.h): every card
-// partition of the run is enqueued on `device` as it is emitted or
+// partition of the run is enqueued on `queue`'s executor as it is emitted or
 // replayed, batched with other requests' partitions into device rounds and
 // timed per round, and Drain blocks until the device has matched them all.
 // The device's FpgaConfig/variant replace options.fpga/options.variant, and
-// the embedding callback runs on the device thread. `queue_key` routes
-// fairness; `epoch`/`plan_key` enable transfer dedup. Wall spans:
+// the embedding callback runs on the device thread. Wall spans:
 // `device_wait` over partitioning, enqueueing and the wait, then
-// `reassembly` over the host share and composition. The keys are borrowed
+// `reassembly` over the host share and composition. `queue` is borrowed
 // for the placement's lifetime.
 class DevicePlacement : public CardPlacement {
  public:
-  DevicePlacement(DeviceExecutor& device, std::string_view queue_key,
-                  std::uint64_t epoch, std::string_view plan_key)
-      : CardPlacement(device.options().fpga, device.options().variant,
-                      obs::Span::kDeviceWait, obs::Span::kReassembly),
-        device_(device), queue_key_(queue_key), epoch_(epoch),
-        plan_key_(plan_key) {}
+  explicit DevicePlacement(const std::shared_ptr<DeviceQueue>& queue);
 
   void Begin(const MatchingOrder& order, ResultCollector* collector,
              const CancelToken* cancel, FastRunResult* result) override;
@@ -296,9 +287,7 @@ class DevicePlacement : public CardPlacement {
 
  private:
   DeviceExecutor& device_;
-  const std::string_view queue_key_;
-  const std::uint64_t epoch_;
-  const std::string_view plan_key_;
+  const std::shared_ptr<DeviceQueue>& queue_;
   std::shared_ptr<DeviceQuery> session_;
   FastRunResult* result_ = nullptr;
 };

@@ -8,10 +8,6 @@ namespace fast::obs {
 
 namespace {
 
-std::string AccountName(const std::string& tenant) {
-  return tenant.empty() ? kDefaultAccount : tenant;
-}
-
 // The row counter of each RequestOutcome, in enum order.
 constexpr std::uint64_t OutcomeCounts::*kOutcomeCounter[] = {
     &OutcomeCounts::completed, &OutcomeCounts::rejected_deadline,
@@ -51,30 +47,29 @@ ResourceAccounts::ResourceAccounts(MetricsRegistry* metrics)
                            "Compiled-plan partition bytes inserted");
 }
 
-AccountSnapshot& ResourceAccounts::Row(const std::string& tenant) {
-  std::string name = AccountName(tenant);
-  auto [it, inserted] = accounts_.try_emplace(name);
-  if (inserted) it->second.tenant = std::move(name);
-  return it->second;
+TenantSlot& ResourceAccounts::Open(const std::string& tenant) {
+  const std::string& id = tenant.empty() ? kDefaultAccount : tenant;
+  std::lock_guard<std::mutex> lock(mu_);
+  return slots_.try_emplace(id, id).first->second;
 }
 
-void ResourceAccounts::Admit(const std::string& tenant) {
+void ResourceAccounts::Admit(TenantSlot& slot) {
   std::lock_guard<std::mutex> lock(mu_);
-  ++Row(tenant).submitted;
+  ++slot.account.submitted;
 }
 
-void ResourceAccounts::Reject(const std::string& tenant, bool quota) {
+void ResourceAccounts::Reject(TenantSlot& slot, bool quota) {
   std::lock_guard<std::mutex> lock(mu_);
-  AccountSnapshot& a = Row(tenant);
+  AccountSnapshot& a = slot.account;
   ++(quota ? a.rejected_quota : a.rejected_queue_full);
 }
 
-void ResourceAccounts::Charge(const std::string& tenant, RequestOutcome outcome,
+void ResourceAccounts::Charge(TenantSlot& slot, RequestOutcome outcome,
                               double seconds, const RequestCost& cost) {
   const bool ok = outcome == RequestOutcome::kCompleted;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    AccountSnapshot& a = Row(tenant);
+    AccountSnapshot& a = slot.account;
     ++(a.*kOutcomeCounter[static_cast<std::size_t>(outcome)]);
     ++a.requests;
     if (ok) {
@@ -103,30 +98,32 @@ void ResourceAccounts::Charge(const std::string& tenant, RequestOutcome outcome,
 
 std::vector<AccountSnapshot> ResourceAccounts::Snapshot() const {
   std::vector<AccountSnapshot> out;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    out.reserve(accounts_.size());
-    for (const auto& [id, a] : accounts_) out.push_back(a);
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& [id, slot] : slots_) {
+    const AccountSnapshot& a = slot.account;
+    // Every first charge bumps one of these, so they tell a row that was
+    // ever charged from a slot that was only opened.
+    if (a.submitted + a.rejected_queue_full + a.rejected_quota + a.requests > 0) {
+      out.push_back(a);
+    }
   }
-  std::sort(out.begin(), out.end(),
-            [](const AccountSnapshot& x, const AccountSnapshot& y) {
-              return x.tenant < y.tenant;
-            });
   return out;
 }
 
-std::size_t ResourceAccounts::num_accounts() const {
+std::vector<TenantSlot*> ResourceAccounts::Slots() {
+  std::vector<TenantSlot*> out;
   std::lock_guard<std::mutex> lock(mu_);
-  return accounts_.size();
+  out.reserve(slots_.size());
+  for (auto& [id, slot] : slots_) out.push_back(&slot);
+  return out;
 }
 
 const AccountSnapshot* FindAccount(const std::vector<AccountSnapshot>& accounts,
-                                   const std::string& tenant) {
-  const std::string name = AccountName(tenant);
+                                   const std::string& id) {
   const auto it = std::lower_bound(
-      accounts.begin(), accounts.end(), name,
+      accounts.begin(), accounts.end(), id,
       [](const AccountSnapshot& a, const std::string& n) { return a.tenant < n; });
-  return it != accounts.end() && it->tenant == name ? &*it : nullptr;
+  return it != accounts.end() && it->tenant == id ? &*it : nullptr;
 }
 
 void WriteAccountsJson(JsonWriter& w, const std::vector<AccountSnapshot>& accounts,

@@ -19,22 +19,25 @@
 //   - plan_cache_bytes: partition bytes of the compiled plan this request
 //                       *inserted* into the plan cache (0 on a hit).
 //
-// ResourceAccounts is the serving pool's one per-instance ledger: a row per
-// tenant id ("__default" for requests without one) holding the request
-// outcomes and OK-request latency next to the summed cost vectors. Rows live
-// as long as the ledger, so a re-added tenant id keeps counting. The
+// ResourceAccounts is the serving pool's one per-instance ledger: a slot per
+// tenant id ("__default" for requests without one) holding the account row
+// (request outcomes and OK-request latency next to the summed cost vectors)
+// and the SLO windows (obs/slo.h). A slot is opened once, at registration,
+// and charged through without a tenant-id lookup; it lives as long as the
+// ledger, so a re-added id gets its old slot back and keeps counting. The
 // router's stats(), /tenants, the flight recorder and exported metrics JSON
 // all read Snapshot(). The cost totals are mirrored into the registry as
 // fast_account_* counters in the same Charge call, so the per-tenant table
 // sums to them (modulo requests in flight between the two scrapes).
 
 #include <cstdint>
+#include <map>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "obs/metrics.h"
+#include "obs/slo.h"
 #include "util/json_writer.h"
 #include "util/latency_histogram.h"
 
@@ -87,6 +90,17 @@ struct AccountSnapshot : OutcomeCounts {
   std::uint64_t plan_cache_bytes = 0;
 };
 
+// One tenant id's attribution state. `account` is guarded by the owning
+// ResourceAccounts' lock, `slo` by the SloEngine's; the id never changes.
+struct TenantSlot {
+  explicit TenantSlot(const std::string& id) { account.tenant = id; }
+
+  const std::string& id() const { return account.tenant; }
+
+  AccountSnapshot account;
+  TenantSlo slo;
+};
+
 class ResourceAccounts {
  public:
   // `metrics` receives the global fast_account_* roll-up counters; nullptr
@@ -96,26 +110,29 @@ class ResourceAccounts {
   ResourceAccounts(const ResourceAccounts&) = delete;
   ResourceAccounts& operator=(const ResourceAccounts&) = delete;
 
-  // Admission outcomes of one Submit to `tenant` (empty -> "__default").
+  // The slot of `tenant` (empty -> "__default"): opened by the first call,
+  // the same slot on every later one. It lives as long as the ledger.
   // Thread-safe, like every method here.
-  void Admit(const std::string& tenant);
-  void Reject(const std::string& tenant, bool quota);
+  TenantSlot& Open(const std::string& tenant);
 
-  // Charges one finished request to `tenant`: its outcome, its latency
-  // (`seconds`, recorded for completed requests) and its cost, and bumps the
-  // global registry counters.
-  void Charge(const std::string& tenant, RequestOutcome outcome, double seconds,
+  // Admission outcomes of one Submit to the slot's tenant.
+  void Admit(TenantSlot& slot);
+  void Reject(TenantSlot& slot, bool quota);
+
+  // Charges one finished request to the slot's tenant: its outcome, its
+  // latency (`seconds`, recorded for completed requests) and its cost, and
+  // bumps the global registry counters.
+  void Charge(TenantSlot& slot, RequestOutcome outcome, double seconds,
               const RequestCost& cost);
 
-  // Account table sorted by tenant id.
+  // Rows of every tenant charged at least once, sorted by tenant id (an
+  // opened slot with nothing charged has no row yet).
   std::vector<AccountSnapshot> Snapshot() const;
 
-  std::size_t num_accounts() const;
+  // Every opened slot, sorted by tenant id.
+  std::vector<TenantSlot*> Slots();
 
  private:
-  // The row of `tenant`, created on first use. Caller holds mu_.
-  AccountSnapshot& Row(const std::string& tenant);
-
   MetricsRegistry* const metrics_;
   Counter* requests_ = nullptr;
   Counter* errors_ = nullptr;
@@ -126,13 +143,14 @@ class ResourceAccounts {
   Counter* plan_cache_bytes_ = nullptr;
 
   mutable std::mutex mu_;
-  std::unordered_map<std::string, AccountSnapshot> accounts_;
+  // std::map: stable slot addresses, and Snapshot comes out sorted.
+  std::map<std::string, TenantSlot> slots_;
 };
 
-// The row `tenant` (empty -> "__default") is charged to in a Snapshot()
-// table; nullptr before the tenant's first request.
+// The row of account id `id` (a TenantSlot::id()) in a Snapshot() table;
+// nullptr before the tenant's first charge.
 const AccountSnapshot* FindAccount(const std::vector<AccountSnapshot>& accounts,
-                                   const std::string& tenant);
+                                   const std::string& id);
 
 // Emits `accounts` as an array field named `key` of the writer's current
 // scope — the shape served by /tenants and embedded next to "metrics" in

@@ -16,7 +16,7 @@ RequestObs::RequestObs(const Options& opts)
       slow_(opts.trace_ring_capacity),
       accounts_(opts.metrics) {
   if (opts_.slo.latency_objective_seconds > 0.0) {
-    slo_ = std::make_unique<SloEngine>(opts_.slo, opts_.metrics);
+    slo_ = std::make_unique<SloEngine>(opts_.slo, opts_.metrics, accounts_);
     if (!opts_.flight.dir.empty()) {
       flight_ = std::make_unique<FlightRecorder>(opts_.flight);
     }
@@ -79,13 +79,13 @@ std::shared_ptr<RequestTrace> RequestObs::StartTrace() const {
   return opts_.tracing ? std::make_shared<RequestTrace>() : nullptr;
 }
 
-void RequestObs::OnSubmitted(const std::string& tenant_id) {
-  accounts_.Admit(tenant_id);
+void RequestObs::OnSubmitted(TenantSlot& slot) {
+  accounts_.Admit(slot);
   if (submitted_ != nullptr) submitted_->Increment();
 }
 
-void RequestObs::OnRejectedQueueFull(const std::string& tenant_id) {
-  accounts_.Reject(tenant_id, /*quota=*/false);
+void RequestObs::OnRejectedQueueFull(TenantSlot& slot) {
+  accounts_.Reject(slot, /*quota=*/false);
   if (rejected_queue_full_ != nullptr) rejected_queue_full_->Increment();
   events_.Record(ProcessUptimeSeconds(), "pushback", "");
 }
@@ -95,8 +95,8 @@ void RequestObs::OnPopBlocked(std::uint64_t ns) {
   if (queue_pop_block_ns_ != nullptr) queue_pop_block_ns_->Increment(ns);
 }
 
-void RequestObs::OnRejectedQuota(const std::string& tenant_id) {
-  accounts_.Reject(tenant_id, /*quota=*/true);
+void RequestObs::OnRejectedQuota(TenantSlot& slot) {
+  accounts_.Reject(slot, /*quota=*/true);
   if (rejected_quota_ != nullptr) rejected_quota_->Increment();
 }
 
@@ -105,15 +105,16 @@ void RequestObs::SetQueueDepth(std::size_t depth) {
 }
 
 std::shared_ptr<const CompletedTrace> RequestObs::OnFinished(
-    Outcome outcome, double total_seconds, std::shared_ptr<RequestTrace> trace,
-    std::uint64_t request_id, const char* status_name, std::string tenant_id,
+    TenantSlot& slot, Outcome outcome, double total_seconds,
+    std::shared_ptr<RequestTrace> trace, std::uint64_t request_id,
+    const char* status_name, const std::string& tenant_id,
     const RequestCost& cost) {
   const bool ok = outcome == Outcome::kCompleted;
-  // Attribution first: the account table and the SLO stream see every
-  // finished request, whatever its outcome (tenant_id is moved below).
-  accounts_.Charge(tenant_id, outcome, total_seconds, cost);
+  // Attribution first: the account row and the SLO windows see every
+  // finished request, whatever its outcome.
+  accounts_.Charge(slot, outcome, total_seconds, cost);
   if (slo_ != nullptr) {
-    slo_->Record(tenant_id, total_seconds, ok, uptime_.ElapsedSeconds());
+    slo_->Record(slot, total_seconds, ok, uptime_.ElapsedSeconds());
   }
   switch (outcome) {
     case Outcome::kCompleted:
@@ -134,7 +135,7 @@ std::shared_ptr<const CompletedTrace> RequestObs::OnFinished(
   if (trace == nullptr) return nullptr;
 
   auto done = std::make_shared<CompletedTrace>(
-      trace->Finish(request_id, ok, status_name, std::move(tenant_id)));
+      trace->Finish(request_id, ok, status_name, tenant_id));
   for (const TraceSpan& s : done->spans) {
     Histogram* h = span_hists_[static_cast<std::size_t>(s.span)];
     if (h != nullptr) h->Record(s.duration_seconds);

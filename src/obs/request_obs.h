@@ -8,13 +8,14 @@
 // slow-query retention ring, and the slow-query WARNING log.
 //
 // It is also the admin plane's attribution point and the instance's one
-// outcome counter: OnSubmitted / OnRejected* / OnFinished charge the
-// tenant's row in the account table (obs/accounting.h), which the router's
-// stats() and /tenants read. OnFinished also feeds the SLO burn-rate engine
-// (obs/slo.h), whose breach transitions trigger the flight recorder. The
-// registry counters bumped in the same calls are the process-wide view; the
-// registry is optional and may be shared by several routers, so it cannot be
-// the per-instance source.
+// outcome counter. The owner opens a tenant's slot once (OpenTenant, at
+// tenant registration); OnSubmitted / OnRejected* / OnFinished then charge
+// the account row in that slot (obs/accounting.h), which the router's
+// stats() and /tenants read, with no tenant-id lookup. OnFinished also feeds
+// the slot's SLO windows (obs/slo.h), whose breach transitions trigger the
+// flight recorder. The registry counters bumped in the same calls are the
+// process-wide view; the registry is optional and may be shared by several
+// routers, so it cannot be the per-instance source.
 
 #include <cstdint>
 #include <memory>
@@ -66,10 +67,15 @@ class RequestObs {
   // RequestOptions::resume_trace.
   std::shared_ptr<RequestTrace> StartTrace() const;
 
-  // Admission-side counters, charged to `tenant_id`'s account row.
-  void OnSubmitted(const std::string& tenant_id);
-  void OnRejectedQueueFull(const std::string& tenant_id);
-  void OnRejectedQuota(const std::string& tenant_id);
+  // The slot `tenant_id` is charged to: ResourceAccounts::Open.
+  TenantSlot& OpenTenant(const std::string& tenant_id) {
+    return accounts_.Open(tenant_id);
+  }
+
+  // Admission-side counters, charged to the slot's account row.
+  void OnSubmitted(TenantSlot& slot);
+  void OnRejectedQueueFull(TenantSlot& slot);
+  void OnRejectedQuota(TenantSlot& slot);
 
   // Queue-depth gauge (sampled value, set by the owning service).
   void SetQueueDepth(std::size_t depth);
@@ -80,15 +86,16 @@ class RequestObs {
   void OnPopBlocked(std::uint64_t ns);
 
   // Finish-side pipeline: charges the outcome, latency and `cost` to the
-  // tenant's account row, bumps the registry outcome counter, records the
-  // latency and per-span histograms, feeds the SLO engine, and retains the
-  // trace in the recent ring (and the slow ring + WARNING log past the
-  // threshold). Returns the frozen trace for the RequestResult, or nullptr
-  // when `trace` was null.
+  // slot's account row, bumps the registry outcome counter, records the
+  // latency and per-span histograms, feeds the slot's SLO windows, and
+  // retains the trace (tagged with `tenant_id`) in the recent ring (and the
+  // slow ring + WARNING log past the threshold). Returns the frozen trace
+  // for the RequestResult, or nullptr when `trace` was null.
   std::shared_ptr<const CompletedTrace> OnFinished(
-      Outcome outcome, double total_seconds, std::shared_ptr<RequestTrace> trace,
-      std::uint64_t request_id, const char* status_name,
-      std::string tenant_id = "", const RequestCost& cost = {});
+      TenantSlot& slot, Outcome outcome, double total_seconds,
+      std::shared_ptr<RequestTrace> trace, std::uint64_t request_id,
+      const char* status_name, const std::string& tenant_id = "",
+      const RequestCost& cost = {});
 
   // Newest-last snapshots of the retained traces.
   std::vector<std::shared_ptr<const CompletedTrace>> recent_traces() const;
@@ -98,8 +105,6 @@ class RequestObs {
   // slow-request flags) on the ProcessUptimeSeconds axis, for the timeline
   // exporter.
   std::vector<InstantEvent> recent_events() const;
-
-  double slow_request_seconds() const { return opts_.slow_request_seconds; }
 
   // ---- Admin-plane surfaces. ----
   const ResourceAccounts& accounts() const { return accounts_; }

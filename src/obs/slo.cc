@@ -4,15 +4,16 @@
 #include <cmath>
 #include <filesystem>
 
+#include "obs/accounting.h"
 #include "obs/export.h"
 #include "util/json_writer.h"
 #include "util/logging.h"
 
 namespace fast::obs {
 
-// ---- SloEngine::Window ----
+// ---- BurnWindow ----
 
-void SloEngine::Window::Init(double window_seconds, std::size_t buckets) {
+void BurnWindow::Init(double window_seconds, std::size_t buckets) {
   buckets = std::max<std::size_t>(1, buckets);
   bucket_seconds = std::max(window_seconds, 1e-9) / static_cast<double>(buckets);
   total.assign(buckets, 0);
@@ -20,7 +21,7 @@ void SloEngine::Window::Init(double window_seconds, std::size_t buckets) {
   last_bucket = -1;
 }
 
-void SloEngine::Window::Advance(double now_seconds) {
+void BurnWindow::Advance(double now_seconds) {
   const auto b = static_cast<std::int64_t>(
       std::floor(std::max(now_seconds, 0.0) / bucket_seconds));
   const auto n = static_cast<std::int64_t>(total.size());
@@ -38,7 +39,7 @@ void SloEngine::Window::Advance(double now_seconds) {
   last_bucket = b;
 }
 
-void SloEngine::Window::Record(double now_seconds, bool is_bad) {
+void BurnWindow::Record(double now_seconds, bool is_bad) {
   Advance(now_seconds);
   const auto slot =
       static_cast<std::size_t>(last_bucket % static_cast<std::int64_t>(total.size()));
@@ -46,7 +47,7 @@ void SloEngine::Window::Record(double now_seconds, bool is_bad) {
   if (is_bad) ++bad[slot];
 }
 
-void SloEngine::Window::Sums(double now_seconds, std::uint64_t* out_total,
+void BurnWindow::Sums(double now_seconds, std::uint64_t* out_total,
                              std::uint64_t* out_bad) {
   Advance(now_seconds);
   std::uint64_t t = 0, b = 0;
@@ -60,8 +61,9 @@ void SloEngine::Window::Sums(double now_seconds, std::uint64_t* out_total,
 
 // ---- SloEngine ----
 
-SloEngine::SloEngine(const SloOptions& opts, MetricsRegistry* metrics)
-    : opts_(opts) {
+SloEngine::SloEngine(const SloOptions& opts, MetricsRegistry* metrics,
+                     ResourceAccounts& slots)
+    : opts_(opts), slots_(slots) {
   if (metrics == nullptr) return;
   breaches_counter_ = metrics->GetCounter(
       "fast_slo_breaches_total", "Tenant SLO breach transitions");
@@ -81,102 +83,84 @@ double SloEngine::BurnRate(std::uint64_t total, std::uint64_t bad) const {
   return (static_cast<double>(bad) / static_cast<double>(total)) / budget;
 }
 
-void SloEngine::Record(const std::string& tenant, double latency_seconds,
-                       bool ok, double now_seconds) {
+void SloEngine::Fill(TenantSlo& t, double now_seconds,
+                     SloTenantState* out) const {
+  t.short_w.Sums(now_seconds, &out->short_total, &out->short_bad);
+  t.long_w.Sums(now_seconds, &out->long_total, &out->long_bad);
+  out->short_burn = BurnRate(out->short_total, out->short_bad);
+  out->long_burn = BurnRate(out->long_total, out->long_bad);
+  out->breached = t.breached;
+  out->breaches = t.breaches;
+  out->recoveries = t.recoveries;
+}
+
+void SloEngine::Record(TenantSlot& slot, double latency_seconds, bool ok,
+                       double now_seconds) {
   const bool bad = !ok || latency_seconds > opts_.latency_objective_seconds;
-  const std::string& key = tenant.empty() ? kDefaultAccount : tenant;
+  const double limit = opts_.breach_burn_rate;
   bool breach_fired = false;
   bool recovery_fired = false;
-  SloTenantState fired;
-  double short_burn = 0.0, long_burn = 0.0;
+  SloTenantState state;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    TenantSlo& t = tenants_[key];
+    TenantSlo& t = slot.slo;
     if (t.short_w.total.empty()) {
       t.short_w.Init(opts_.short_window_seconds, opts_.buckets_per_window);
       t.long_w.Init(opts_.long_window_seconds, opts_.buckets_per_window);
     }
     t.short_w.Record(now_seconds, bad);
     t.long_w.Record(now_seconds, bad);
-    std::uint64_t st, sb, lt, lb;
-    t.short_w.Sums(now_seconds, &st, &sb);
-    t.long_w.Sums(now_seconds, &lt, &lb);
-    short_burn = BurnRate(st, sb);
-    long_burn = BurnRate(lt, lb);
-    if (!t.breached && short_burn >= opts_.breach_burn_rate &&
-        long_burn >= opts_.breach_burn_rate) {
+    Fill(t, now_seconds, &state);
+    if (!t.breached && state.short_burn >= limit && state.long_burn >= limit) {
       t.breached = true;
       ++t.breaches;
       breach_fired = true;
-    } else if (t.breached && short_burn < opts_.breach_burn_rate &&
-               long_burn < opts_.breach_burn_rate) {
+    } else if (t.breached && state.short_burn < limit &&
+               state.long_burn < limit) {
       t.breached = false;
       ++t.recoveries;
       recovery_fired = true;
     }
-    if (breach_fired) {
-      fired.tenant = key;
-      fired.short_burn = short_burn;
-      fired.long_burn = long_burn;
-      fired.short_total = st;
-      fired.short_bad = sb;
-      fired.long_total = lt;
-      fired.long_bad = lb;
-      fired.breached = true;
-      fired.breaches = t.breaches;
-      fired.recoveries = t.recoveries;
-    }
+    state.breached = t.breached;
+    state.breaches = t.breaches;
+    state.recoveries = t.recoveries;
   }
   // Registry mirrors and the breach hook run outside the engine lock: the
   // flight recorder snapshots rings and the registry, which take their own
   // locks on this (worker) thread.
-  if (short_burn_gauge_ != nullptr) short_burn_gauge_->Set(short_burn);
-  if (long_burn_gauge_ != nullptr) long_burn_gauge_->Set(long_burn);
+  if (short_burn_gauge_ != nullptr) short_burn_gauge_->Set(state.short_burn);
+  if (long_burn_gauge_ != nullptr) long_burn_gauge_->Set(state.long_burn);
   if (breach_fired) {
+    state.tenant = slot.id();
     if (breaches_counter_ != nullptr) breaches_counter_->Increment();
-    FAST_LOG(WARNING) << "SLO breach: tenant=" << key
-                      << " short_burn=" << short_burn
-                      << " long_burn=" << long_burn;
-    if (on_breach_) on_breach_(key, fired);
+    FAST_LOG(WARNING) << "SLO breach: tenant=" << state.tenant
+                      << " short_burn=" << state.short_burn
+                      << " long_burn=" << state.long_burn;
+    if (on_breach_) on_breach_(state.tenant, state);
   }
   if (recovery_fired && recoveries_counter_ != nullptr) {
     recoveries_counter_->Increment();
   }
 }
 
-void SloEngine::FillState(const std::string& id, TenantSlo& t,
-                          double now_seconds, SloTenantState* out) const {
-  out->tenant = id;
-  std::uint64_t st, sb, lt, lb;
-  t.short_w.Sums(now_seconds, &st, &sb);
-  t.long_w.Sums(now_seconds, &lt, &lb);
-  out->short_burn = BurnRate(st, sb);
-  out->long_burn = BurnRate(lt, lb);
-  out->short_total = st;
-  out->short_bad = sb;
-  out->long_total = lt;
-  out->long_bad = lb;
-  out->breached = t.breached;
-  out->breaches = t.breaches;
-  out->recoveries = t.recoveries;
-}
-
 std::vector<SloTenantState> SloEngine::StateSnapshot(double now_seconds) const {
+  const std::vector<TenantSlot*> slots = slots_.Slots();
   std::vector<SloTenantState> out;
   std::lock_guard<std::mutex> lock(mu_);
-  out.reserve(tenants_.size());
-  for (auto& [id, t] : tenants_) {
-    SloTenantState s;
-    FillState(id, t, now_seconds, &s);
-    out.push_back(std::move(s));
+  for (TenantSlot* slot : slots) {
+    if (slot->slo.short_w.total.empty()) continue;  // nothing recorded yet
+    SloTenantState& s = out.emplace_back();
+    s.tenant = slot->id();
+    Fill(slot->slo, now_seconds, &s);
   }
   return out;
 }
 
 std::uint64_t SloEngine::total_breaches() const {
+  const std::vector<TenantSlot*> slots = slots_.Slots();
   std::lock_guard<std::mutex> lock(mu_);
   std::uint64_t n = 0;
-  for (const auto& [id, t] : tenants_) n += t.breaches;
+  for (const TenantSlot* slot : slots) n += slot->slo.breaches;
   return n;
 }
 

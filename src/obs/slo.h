@@ -23,6 +23,9 @@
 // every entry point takes an explicit `now_seconds` on the engine's own
 // time axis, so tests inject ticks instead of sleeping.
 //
+// A tenant's windows (TenantSlo) live in its slot in the account table
+// (obs/accounting.h), guarded by the engine's lock; StateSnapshot walks them.
+//
 // On a breach transition the engine invokes an optional callback (outside
 // its lock); RequestObs points that callback at a FlightRecorder, which
 // writes ONE bounded JSON dump — registry snapshot, recent + slow trace
@@ -31,17 +34,19 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
-#include "obs/accounting.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace fast::obs {
+
+struct AccountSnapshot;
+class ResourceAccounts;
+struct TenantSlot;
 
 struct SloOptions {
   SloOptions() = default;
@@ -76,6 +81,30 @@ struct SloTenantState {
   std::uint64_t recoveries = 0;  // cumulative recovery transitions
 };
 
+// Ring of time buckets holding (total, bad) request counts; expiry is lazy —
+// advancing past a bucket zeroes it.
+struct BurnWindow {
+  double bucket_seconds = 1.0;
+  std::vector<std::uint64_t> total;
+  std::vector<std::uint64_t> bad;
+  std::int64_t last_bucket = -1;
+
+  void Init(double window_seconds, std::size_t buckets);
+  void Advance(double now_seconds);
+  void Record(double now_seconds, bool is_bad);
+  void Sums(double now_seconds, std::uint64_t* out_total,
+            std::uint64_t* out_bad);
+};
+
+// One tenant's burn-rate state, held in its slot. The windows are sized on
+// the tenant's first Record; before that the tenant has no SLO state.
+struct TenantSlo {
+  BurnWindow short_w, long_w;
+  bool breached = false;
+  std::uint64_t breaches = 0;
+  std::uint64_t recoveries = 0;
+};
+
 class SloEngine {
  public:
   // Invoked on a breach transition, after the engine lock is released, on
@@ -85,8 +114,11 @@ class SloEngine {
 
   // `metrics` receives fast_slo_breaches_total / fast_slo_recoveries_total
   // and the fast_slo_burn_rate_{short,long} gauges (worst tenant at the
-  // last Record). Non-owning; nullptr = no registry reporting.
-  SloEngine(const SloOptions& opts, MetricsRegistry* metrics);
+  // last Record). Non-owning; nullptr = no registry reporting. `slots` is
+  // the account table whose slots hold the windows; it must outlive the
+  // engine.
+  SloEngine(const SloOptions& opts, MetricsRegistry* metrics,
+            ResourceAccounts& slots);
 
   SloEngine(const SloEngine&) = delete;
   SloEngine& operator=(const SloEngine&) = delete;
@@ -95,53 +127,34 @@ class SloEngine {
 
   const SloOptions& options() const { return opts_; }
 
-  // Records one finished request for `tenant` (empty -> "__default") at
-  // `now_seconds` on the engine's time axis. Thread-safe.
-  void Record(const std::string& tenant, double latency_seconds, bool ok,
+  // Records one finished request of the slot's tenant at `now_seconds` on
+  // the engine's time axis. `slot` belongs to the engine's account table.
+  // Thread-safe.
+  void Record(TenantSlot& slot, double latency_seconds, bool ok,
               double now_seconds);
 
-  // Burn-rate states as of `now_seconds`, sorted by tenant id.
+  // Burn-rate states as of `now_seconds` of every tenant with a recorded
+  // request, sorted by tenant id.
   std::vector<SloTenantState> StateSnapshot(double now_seconds) const;
 
   std::uint64_t total_breaches() const;
 
  private:
-  // Ring of time buckets holding (total, bad) request counts; expiry is
-  // lazy — advancing past a bucket zeroes it.
-  struct Window {
-    double bucket_seconds = 1.0;
-    std::vector<std::uint64_t> total;
-    std::vector<std::uint64_t> bad;
-    std::int64_t last_bucket = -1;
-
-    void Init(double window_seconds, std::size_t buckets);
-    void Advance(double now_seconds);
-    void Record(double now_seconds, bool is_bad);
-    void Sums(double now_seconds, std::uint64_t* out_total,
-              std::uint64_t* out_bad);
-  };
-
-  struct TenantSlo {
-    Window short_w, long_w;
-    bool breached = false;
-    std::uint64_t breaches = 0;
-    std::uint64_t recoveries = 0;
-  };
-
   double BurnRate(std::uint64_t total, std::uint64_t bad) const;
-  void FillState(const std::string& id, TenantSlo& t, double now_seconds,
-                 SloTenantState* out) const;
+  // Everything of SloTenantState but the tenant id, from `t` as of
+  // `now_seconds`. Caller holds mu_.
+  void Fill(TenantSlo& t, double now_seconds, SloTenantState* out) const;
 
   const SloOptions opts_;
+  ResourceAccounts& slots_;
   Counter* breaches_counter_ = nullptr;
   Counter* recoveries_counter_ = nullptr;
   Gauge* short_burn_gauge_ = nullptr;
   Gauge* long_burn_gauge_ = nullptr;
   BreachCallback on_breach_;
 
+  // Guards the TenantSlo of every slot.
   mutable std::mutex mu_;
-  // std::map: StateSnapshot returns sorted-by-tenant without a copy+sort.
-  mutable std::map<std::string, TenantSlo> tenants_;
 };
 
 // ---- Breach flight recorder. ----

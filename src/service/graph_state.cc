@@ -49,11 +49,6 @@ GraphSnapshot GraphState::snapshot() const {
   return {graph_, epoch_};
 }
 
-std::uint64_t GraphState::graph_swaps() const {
-  std::lock_guard<std::mutex> lock(snapshot_mu_);
-  return graph_swaps_;
-}
-
 void GraphState::publication_stats(std::uint64_t* epoch,
                                    std::uint64_t* swaps) const {
   std::lock_guard<std::mutex> lock(snapshot_mu_);
@@ -95,7 +90,8 @@ StatusOr<std::uint64_t> GraphState::ApplyDelta(const GraphDelta& delta) {
 void GraphState::Serve(const CanonicalQuery& canonical,
                        const RequestOptions& opts,
                        const FastRunOptions& base_run, double queue_seconds,
-                       double deadline_seconds, device::DeviceExecutor* device,
+                       double deadline_seconds,
+                       const std::shared_ptr<device::DeviceQueue>& device_queue,
                        obs::RequestTrace* trace, RequestResult* result) {
   result->queue_seconds = queue_seconds;
   if (deadline_seconds > 0.0 && queue_seconds > deadline_seconds) {
@@ -117,14 +113,14 @@ void GraphState::Serve(const CanonicalQuery& canonical,
   const GraphSnapshot snap = snapshot();
   if (trace != nullptr) trace->End();
   result->graph_epoch = snap.epoch;
-  Execute(canonical, opts, snap, base_run, cancel, device, trace, result);
+  Execute(canonical, opts, snap, base_run, cancel, device_queue, trace, result);
 }
 
 void GraphState::Execute(const CanonicalQuery& canonical,
                          const RequestOptions& opts, const GraphSnapshot& snap,
                          const FastRunOptions& base_run,
                          const CancelToken* cancel,
-                         device::DeviceExecutor* device,
+                         const std::shared_ptr<device::DeviceQueue>& device_queue,
                          obs::RequestTrace* trace, RequestResult* result) {
   FastRunOptions run = base_run;
   run.explicit_order.reset();
@@ -171,13 +167,10 @@ void GraphState::Execute(const CanonicalQuery& canonical,
   auto record = cached == nullptr && options_.plan_cache_capacity > 0
                     ? std::make_shared<CompiledPlan>()
                     : nullptr;
-  // Shared-device mode: the canonical key + epoch identify the partitions,
-  // so concurrent requests for the same shape share one PCIe transfer.
+  // Shared-device mode: a hit enqueues the cached partitions themselves, so
+  // concurrent hits on one plan share each partition's PCIe transfer.
   std::optional<device::DevicePlacement> on_device;
-  if (device != nullptr) {
-    on_device.emplace(*device, options_.device_queue_key, snap.epoch,
-                      canonical.key);
-  }
+  if (device_queue != nullptr) on_device.emplace(device_queue);
   StatusOr<FastRunResult> r =
       RunFast(canonical.query, *snap.graph, run,
               on_device.has_value() ? &*on_device : nullptr, cached.get(),

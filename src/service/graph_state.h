@@ -33,7 +33,6 @@
 #include <memory>
 #include <mutex>
 #include <span>
-#include <string>
 
 #include "core/driver.h"
 #include "graph/graph.h"
@@ -46,7 +45,7 @@
 #include "util/status.h"
 
 namespace fast::device {
-class DeviceExecutor;
+struct DeviceQueue;
 }  // namespace fast::device
 
 namespace fast::service {
@@ -119,9 +118,6 @@ struct GraphStateOptions {
   // Byte bound on the summed partition bytes of cached plans; 0 =
   // entries-only bound.
   std::size_t plan_cache_byte_budget = 0;
-  // Fairness-queue key on a shared device executor: the id of the tenant
-  // this state serves. Only used in device mode.
-  std::string device_queue_key;
   // Process-wide metrics registry (obs/metrics.h) the state reports into:
   // graph-swap counts, published epoch, and plan-cache traffic. Non-owning;
   // must outlive the state. nullptr = no registry reporting.
@@ -139,8 +135,6 @@ class GraphState {
   // The currently published snapshot. The returned graph stays valid for as
   // long as the caller holds the shared_ptr.
   GraphSnapshot snapshot() const;
-  std::uint64_t epoch() const { return snapshot().epoch; }
-  std::uint64_t graph_swaps() const;
 
   // Epoch and swap count read under ONE lock acquisition, so the pair is
   // mutually consistent (swaps == epoch - 1 always holds) even while a
@@ -165,16 +159,18 @@ class GraphState {
   // snapshot capture, cache lookup, build/run, and result remap. base_run is
   // the service-level pipeline configuration; per-request fields
   // (store_limit, callback, cancel) are overridden from `opts`. A non-null
-  // `device` routes partition matching to the shared device executor
-  // (device/device_executor.h) under this state's device_queue_key instead
-  // of running it inline on the calling thread; result reassembly and the
-  // canonical-numbering remap are identical either way. A non-null `trace`
+  // `device_queue` (the serving tenant's fairness queue) routes partition
+  // matching to the shared device executor that opened it
+  // (device/device_executor.h) instead of running it inline on the calling
+  // thread; result reassembly and the canonical-numbering remap are
+  // identical either way. A non-null `trace`
   // records the execution-side spans (snapshot, plan_lookup, cst_build,
   // match/device_wait, remap); the caller owns it and folds it into the
   // result after classification.
   void Serve(const CanonicalQuery& canonical, const RequestOptions& opts,
              const FastRunOptions& base_run, double queue_seconds,
-             double deadline_seconds, device::DeviceExecutor* device,
+             double deadline_seconds,
+             const std::shared_ptr<device::DeviceQueue>& device_queue,
              obs::RequestTrace* trace, RequestResult* result);
 
   PlanCacheStats cache_stats() const { return cache_.stats(); }
@@ -182,7 +178,8 @@ class GraphState {
  private:
   void Execute(const CanonicalQuery& canonical, const RequestOptions& opts,
                const GraphSnapshot& snap, const FastRunOptions& base_run,
-               const CancelToken* cancel, device::DeviceExecutor* device,
+               const CancelToken* cancel,
+               const std::shared_ptr<device::DeviceQueue>& device_queue,
                obs::RequestTrace* trace, RequestResult* result);
   std::uint64_t Publish(Graph next);
 

@@ -29,21 +29,27 @@ struct TenantRouter::Request {
 
 struct TenantRouter::Tenant {
   Tenant(std::string tenant_id, Graph graph, const TenantOptions& options,
-         obs::MetricsRegistry* metrics)
+         obs::MetricsRegistry* metrics, obs::TenantSlot& account_slot,
+         std::shared_ptr<device::DeviceQueue> queue)
       : id(std::move(tenant_id)),
         opts(options),
         state(std::move(graph),
               service::GraphStateOptions{
                   .plan_cache_capacity = options.plan_cache_capacity,
                   .plan_cache_byte_budget = options.plan_cache_byte_budget,
-                  .device_queue_key = id,
-                  .metrics = metrics}) {
-    wrr.weight = std::max<std::uint32_t>(1, options.weight);
+                  .metrics = metrics}),
+        slot(account_slot),
+        device_queue(std::move(queue)) {
+    wrr.weight = options.weight;
   }
 
   const std::string id;
   const TenantOptions opts;
   service::GraphState state;  // internally synchronized
+  // Resolved at AddTenant: the id's account slot (outlives the tenant) and
+  // its device fairness queue (device mode only; dies with the tenant).
+  obs::TenantSlot& slot;
+  const std::shared_ptr<device::DeviceQueue> device_queue;
 
   // --- Scheduler state, guarded by TenantRouter::sched_mu_. ---
   std::deque<std::shared_ptr<Request>> queue;
@@ -109,19 +115,18 @@ TenantRouter::~TenantRouter() { Shutdown(); }
 Status TenantRouter::AddTenant(const std::string& id, Graph graph,
                                TenantOptions opts) {
   if (opts.weight == 0) opts.weight = 1;
-  // Build the tenant (including the graph move) outside the scheduler lock.
-  auto t = std::make_shared<Tenant>(id, std::move(graph), opts, options_.metrics);
+  // Build the tenant (including the graph move) outside the scheduler lock,
+  // resolving its account slot and device queue once. The WRR weight doubles
+  // as the device-round weight: dispatch slots and device slots are bought
+  // by the same knob.
+  auto t = std::make_shared<Tenant>(
+      id, std::move(graph), opts, options_.metrics, obs_.OpenTenant(id),
+      device_ != nullptr ? device_->OpenQueue(opts.weight) : nullptr);
   std::lock_guard<util::ProfiledMutex> lock(sched_mu_);
   if (stopping_) return Status::FailedPrecondition("router is shut down");
   if (!tenants_.emplace(id, std::move(t)).second) {
     return Status::InvalidArgument("tenant id already registered: " + id);
   }
-  // The tenant's WRR weight doubles as its device-round weight: dispatch
-  // slots and device slots are bought by the same knob. Registered under
-  // sched_mu_ so no Submit can race partitions onto a default-weight queue
-  // and no RemoveTenant can interleave (sched_mu_ -> device mutex is the
-  // established order; RemoveTenant's DropQueue uses the same one).
-  if (device_ != nullptr) device_->SetQueueWeight(id, opts.weight);
   return Status::OK();
 }
 
@@ -137,9 +142,6 @@ Status TenantRouter::RemoveTenant(const std::string& id) {
   t->removed = true;
   tenants_.erase(it);
   drained_cv_.wait(lock, [&] { return t->queue.empty() && t->in_flight == 0; });
-  // Drained: no request of this tenant is queued or in flight, so its device
-  // queue (if any) is empty and can be dropped.
-  if (device_ != nullptr) device_->DropQueue(id);
   return Status::OK();
 }
 
@@ -169,7 +171,7 @@ StatusOr<TenantRouter::RequestId> TenantRouter::Submit(
     queue_full = total_queued_ >= options_.queue_capacity;
   }
   if (queue_full) {
-    obs_.OnRejectedQueueFull(t->id);
+    obs_.OnRejectedQueueFull(t->slot);
     return Status::ResourceExhausted("request queue full");
   }
 
@@ -223,13 +225,13 @@ StatusOr<TenantRouter::RequestId> TenantRouter::Submit(
   if (!admit.ok()) {
     ledger_.Forget(id);
     if (quota_reject) {
-      obs_.OnRejectedQuota(t->id);
+      obs_.OnRejectedQuota(t->slot);
     } else if (admit.code() == StatusCode::kResourceExhausted) {
-      obs_.OnRejectedQueueFull(t->id);
+      obs_.OnRejectedQueueFull(t->slot);
     }
     return admit;
   }
-  obs_.OnSubmitted(t->id);  // counts admitted requests only
+  obs_.OnSubmitted(t->slot);  // counts admitted requests only
   sched_cv_.notify_one();
   return id;
 }
@@ -327,7 +329,7 @@ void TenantRouter::WorkerLoop(std::size_t index) {
     const std::uint64_t cpu_start = ThreadCpuNanos();
     req->tenant->state.Serve(req->canonical, req->opts, options_.run,
                              req->submitted.ElapsedSeconds(),
-                             req->deadline_seconds, device_.get(),
+                             req->deadline_seconds, req->tenant->device_queue,
                              req->trace.get(), &result);
     Finish(std::move(req), std::move(result), ThreadCpuNanos() - cpu_start);
   }
@@ -354,7 +356,7 @@ void TenantRouter::Finish(std::shared_ptr<Request> req, RequestResult result,
   cost.dma_bytes = result.run.dma_bytes;
   cost.queue_wait_ns = static_cast<std::uint64_t>(result.queue_seconds * 1e9);
   cost.plan_cache_bytes = result.plan_bytes_charged;
-  result.trace = obs_.OnFinished(outcome, result.total_seconds,
+  result.trace = obs_.OnFinished(t.slot, outcome, result.total_seconds,
                                  std::move(req->trace), req->id,
                                  StatusCodeToString(result.status.code()), t.id,
                                  cost);
@@ -374,8 +376,8 @@ TenantStats TenantRouter::MakeTenantStats(
     const Tenant& t, const std::vector<obs::AccountSnapshot>& accounts) {
   TenantStats out;
   out.id = t.id;
-  out.weight = std::max<std::uint32_t>(1, t.opts.weight);
-  if (const obs::AccountSnapshot* row = obs::FindAccount(accounts, t.id)) {
+  out.weight = t.opts.weight;
+  if (const obs::AccountSnapshot* row = obs::FindAccount(accounts, t.slot.id())) {
     out.Add(*row);
   }
   t.state.publication_stats(&out.epoch, &out.graph_swaps);

@@ -37,11 +37,17 @@
 //     tenant's weight buys. A hot tenant saturating its queue cannot starve
 //     a cold one.
 //
+// A tenant is resolved once: AddTenant opens the id's account slot
+// (obs/accounting.h) and, in device mode, its device fairness queue, and the
+// registry entry keeps both, so Submit's registry lookup is a request's only
+// tenant-id lookup.
+//
 // Tenants can be added and removed at runtime. RemoveTenant stops new
 // admissions immediately and then drains: requests already queued or
 // dispatched finish normally on the snapshots they capture (the removed
 // tenant's state stays alive via shared_ptr until the last request drops
 // it); RemoveTenant returns once the tenant has no queued or in-flight work.
+// The device queue goes with the tenant; the slot stays with the router.
 //
 // Deadlines are checked at dispatch, and enforced mid-run via a cooperative
 // cancellation token armed with the remaining deadline.
@@ -105,9 +111,9 @@ struct RouterOptions : service::CommonServingOptions {
 static_assert(!std::is_aggregate_v<RouterOptions>,
               "RouterOptions must not be positionally brace-initializable");
 
-// The outcome counts of TenantStats are the tenant's row in the router's
-// account table (obs/accounting.h); RouterStats sums every row, removed
-// tenants included.
+// The outcome counts of TenantStats are the account row in the tenant's
+// slot (obs/accounting.h); RouterStats sums every row, removed tenants
+// included.
 struct TenantStats : obs::OutcomeCounts {
   std::string id;
   std::uint32_t weight = 1;
@@ -151,7 +157,8 @@ class TenantRouter : public service::Frontend {
   // already admitted drain normally on their captured snapshots. Blocks
   // until the tenant has no queued or in-flight requests. The tenant's
   // counters stay in the router totals, and a tenant re-added under the same
-  // id continues them (they live in the account table, keyed by id).
+  // id continues them and its SLO windows: AddTenant gets the id's old slot
+  // back.
   Status RemoveTenant(const std::string& id);
 
   // Frontend: the session key is the tenant id. Canonicalizes q and

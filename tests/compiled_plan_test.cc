@@ -180,7 +180,8 @@ TEST(CompiledPlanTest, DramPlanIsTheWholeCst) {
   device_options.variant = FastVariant::kDram;
   device_options.batch_window_seconds = 0;
   device::DeviceExecutor device(device_options);
-  device::DevicePlacement on_device(device, "t0", 1, "q2");
+  const auto queue = device.OpenQueue();
+  device::DevicePlacement on_device(queue);
   for (CardPlacement* placement : {static_cast<CardPlacement*>(nullptr),
                                    static_cast<CardPlacement*>(&on_device)}) {
     SCOPED_TRACE(placement == nullptr ? "inline" : "device");

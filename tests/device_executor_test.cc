@@ -1,7 +1,8 @@
 // Tests for the shared device executor (src/device/): correctness of
 // device-routed matching vs the inline driver path, cross-query batch
-// coalescing and transfer dedup, WRR fairness between a hot and a cold
-// tenant's partition streams, mid-batch cancellation, and shutdown.
+// coalescing and transfer dedup of shared partitions, WRR fairness between a
+// hot and a cold tenant's partition streams, mid-batch cancellation, and
+// shutdown.
 
 #include <atomic>
 #include <string>
@@ -23,6 +24,7 @@ namespace {
 
 using device::DeviceExecutor;
 using device::DeviceOptions;
+using device::DeviceQueue;
 using device::DeviceQueryResult;
 using device::DeviceStats;
 using testing::BruteForceCount;
@@ -52,15 +54,20 @@ Plan BuildPlan(const QueryGraph& q, const Graph& g) {
   return {*std::move(order), *std::move(cst)};
 }
 
-// The pipeline's miss path from a prebuilt CST, placed on the shared device.
-StatusOr<FastRunResult> RunCstOnDevice(DeviceExecutor& device, const Cst& cst,
-                                       const MatchingOrder& order,
-                                       const FastRunOptions& options,
-                                       const std::string& queue_key,
-                                       std::uint64_t epoch,
-                                       const std::string& plan_key) {
-  device::DevicePlacement placement(device, queue_key, epoch, plan_key);
+// The pipeline's miss path from a prebuilt CST, placed on the shared device
+// through `queue`: the run partitions its own copy of the CST.
+StatusOr<FastRunResult> RunCstOnDevice(const std::shared_ptr<DeviceQueue>& queue,
+                                       const Cst& cst, const MatchingOrder& order,
+                                       const FastRunOptions& options) {
+  device::DevicePlacement placement(queue);
   return RunFastWithCst(cst, order, options, 0.0, nullptr, &placement);
+}
+
+// The plan a miss run under `run` records (inline), for replay.
+CompiledPlan RecordPlan(const Plan& plan, const FastRunOptions& run) {
+  CompiledPlan compiled;
+  FAST_CHECK(RunFastWithCst(plan.cst, plan.order, run, 0.0, &compiled).ok());
+  return compiled;
 }
 
 TEST(DeviceExecutorTest, DeviceRoutedRunMatchesInlineDriver) {
@@ -76,7 +83,7 @@ TEST(DeviceExecutorTest, DeviceRoutedRunMatchesInlineDriver) {
 
   DeviceExecutor device(SmallDeviceOptions());
   auto device_result =
-      RunCstOnDevice(device, plan.cst, plan.order, run, "t0", 1, "paper-q");
+      RunCstOnDevice(device.OpenQueue(), plan.cst, plan.order, run);
   ASSERT_TRUE(device_result.ok());
 
   EXPECT_EQ(device_result->embeddings, BruteForceCount(q, g));
@@ -105,26 +112,26 @@ std::size_t PartitionCount(const Plan& plan, const DeviceOptions& opts,
   return parts->size();
 }
 
-// Runs RunCstOnDevice for each queue key on its own thread, with rounds
-// held until every thread's partitions are queued, so all of them land in
-// the first round formed after the release — exact, not a race between the
-// submitters and a batch window. Returns the number of wrong results.
-int RunHeldThenReleased(DeviceExecutor& device, const Plan& plan,
-                        const FastRunOptions& run,
-                        const std::vector<std::string>& queue_keys,
-                        std::uint64_t expected_embeddings) {
-  const std::size_t parts = PartitionCount(plan, device.options(), run);
+// Runs `run_one(queue)` for each of `queues` on its own thread, with rounds
+// held until every thread's `parts` partitions are queued, so all of them
+// land in the first round formed after the release — exact, not a race
+// between the submitters and a batch window. Returns the number of wrong
+// results.
+template <typename RunOne>
+int RunHeldThenReleased(DeviceExecutor& device,
+                        const std::vector<std::shared_ptr<DeviceQueue>>& queues,
+                        std::size_t parts, std::uint64_t expected_embeddings,
+                        RunOne run_one) {
   std::atomic<int> failures{0};
   device.HoldRounds();
   std::vector<std::thread> submitters;
-  for (const std::string& key : queue_keys) {
-    submitters.emplace_back([&, key] {
-      auto r = RunCstOnDevice(device, plan.cst, plan.order, run, key, 1,
-                              "paper-q");
+  for (const std::shared_ptr<DeviceQueue>& queue : queues) {
+    submitters.emplace_back([&, queue] {
+      StatusOr<FastRunResult> r = run_one(queue);
       if (!r.ok() || r->embeddings != expected_embeddings) failures.fetch_add(1);
     });
   }
-  while (device.queue_depth() < queue_keys.size() * parts) {
+  while (device.queue_depth() < queues.size() * parts) {
     std::this_thread::yield();
   }
   device.ReleaseRounds();
@@ -145,8 +152,12 @@ TEST(DeviceExecutorTest, BatchCoalescesConcurrentQueriesIntoOneRound) {
   FastRunOptions run;
   run.fpga = opts.fpga;
   // Distinct tenants, same canonical plan: the batch must mix them.
-  EXPECT_EQ(RunHeldThenReleased(device, plan, run, {"t0", "t1"},
-                                BruteForceCount(q, g)),
+  EXPECT_EQ(RunHeldThenReleased(
+                device, {device.OpenQueue(), device.OpenQueue()},
+                PartitionCount(plan, opts, run), BruteForceCount(q, g),
+                [&](const std::shared_ptr<DeviceQueue>& queue) {
+                  return RunCstOnDevice(queue, plan.cst, plan.order, run);
+                }),
             0);
 
   const DeviceStats stats = device.stats();
@@ -168,9 +179,16 @@ TEST(DeviceExecutorTest, IdenticalImagesInOneRoundTransferOnce) {
 
   FastRunOptions run;
   run.fpga = opts.fpga;
-  // SAME tenant, epoch and plan key: bit-identical partition images.
-  EXPECT_EQ(RunHeldThenReleased(device, plan, run, {"t0", "t0"},
-                                BruteForceCount(q, g)),
+  // Two queries of one tenant replay ONE compiled plan (two plan-cache
+  // hits): every partition is shared by both queries' items.
+  const CompiledPlan compiled = RecordPlan(plan, run);
+  const auto t0 = device.OpenQueue();
+  EXPECT_EQ(RunHeldThenReleased(
+                device, {t0, t0}, compiled.fpga.size(), BruteForceCount(q, g),
+                [&](const std::shared_ptr<DeviceQueue>& queue) {
+                  device::DevicePlacement placement(queue);
+                  return RunFast(q, g, run, &placement, &compiled);
+                }),
             0);
 
   const DeviceStats stats = device.stats();
@@ -178,6 +196,39 @@ TEST(DeviceExecutorTest, IdenticalImagesInOneRoundTransferOnce) {
   // The duplicate query's images rode the first transfer for free.
   EXPECT_GT(stats.dedup_bytes_saved, 0u);
   EXPECT_EQ(stats.dedup_bytes_saved, stats.payload_bytes);
+}
+
+// Dedup keys on the shared partition, not on what it holds: two misses of
+// one shape each partition their own copy, and each copy is transferred.
+TEST(DeviceExecutorTest, SeparatelyBuiltCopiesAreEachTransferred) {
+  const Graph g = PaperDataGraph();
+  const QueryGraph q = PaperQuery();
+  const Plan plan = BuildPlan(q, g);
+
+  DeviceOptions opts = SmallDeviceOptions();
+  opts.batch_window_seconds = 0;
+  opts.max_batch_items = 64;
+  DeviceExecutor device(opts);
+
+  FastRunOptions run;
+  run.fpga = opts.fpga;
+  std::uint64_t copy_bytes = 0;
+  for (const CompiledPartition& p : RecordPlan(plan, run).fpga) {
+    copy_bytes += p.wire_bytes;
+  }
+  const auto t0 = device.OpenQueue();
+  EXPECT_EQ(RunHeldThenReleased(
+                device, {t0, t0}, PartitionCount(plan, opts, run),
+                BruteForceCount(q, g),
+                [&](const std::shared_ptr<DeviceQueue>& queue) {
+                  return RunCstOnDevice(queue, plan.cst, plan.order, run);
+                }),
+            0);
+
+  const DeviceStats stats = device.stats();
+  ASSERT_EQ(stats.rounds, 1u);
+  EXPECT_EQ(stats.dedup_bytes_saved, 0u);
+  EXPECT_EQ(stats.payload_bytes, 2 * copy_bytes);
 }
 
 // A hot tenant flooding the device queue must not starve a cold tenant's
@@ -202,8 +253,8 @@ TEST(DeviceExecutorTest, ColdTenantRidesFirstRoundDespiteHotFlood) {
     DeviceExecutor device(opts);
     ResultCollector collector;
     device.HoldRounds();
-    auto cold = device.BeginQuery("cold", 1, "kc", plan.order, &collector,
-                                  nullptr);
+    auto cold =
+        device.BeginQuery(device.OpenQueue(), plan.order, &collector, nullptr);
     for (std::size_t i = 0; i < kColdItems; ++i) {
       ASSERT_TRUE(device.EnqueuePartition(cold, CompilePartition(plan.cst)).ok());
     }
@@ -220,13 +271,13 @@ TEST(DeviceExecutorTest, ColdTenantRidesFirstRoundDespiteHotFlood) {
   ResultCollector hot_collector;
   ResultCollector cold_collector;
   device.HoldRounds();
-  auto hot =
-      device.BeginQuery("hot", 1, "kh", plan.order, &hot_collector, nullptr);
+  auto hot = device.BeginQuery(device.OpenQueue(), plan.order, &hot_collector,
+                               nullptr);
   for (std::size_t i = 0; i < kHotItems; ++i) {
     ASSERT_TRUE(device.EnqueuePartition(hot, CompilePartition(plan.cst)).ok());
   }
-  auto cold = device.BeginQuery("cold", 1, "kc", plan.order, &cold_collector,
-                                nullptr);
+  auto cold = device.BeginQuery(device.OpenQueue(), plan.order,
+                                &cold_collector, nullptr);
   for (std::size_t i = 0; i < kColdItems; ++i) {
     ASSERT_TRUE(device.EnqueuePartition(cold, CompilePartition(plan.cst)).ok());
   }
@@ -260,8 +311,8 @@ TEST(DeviceExecutorTest, TrippedTokenSkipsItemsMidBatch) {
   CancelToken cancelled;
   cancelled.Cancel();
   ResultCollector collector;
-  auto session =
-      device.BeginQuery("t0", 1, "paper-q", plan.order, &collector, &cancelled);
+  auto session = device.BeginQuery(device.OpenQueue(), plan.order, &collector,
+                                   &cancelled);
   ASSERT_TRUE(device.EnqueuePartition(session, CompilePartition(plan.cst)).ok());
   ASSERT_TRUE(device.EnqueuePartition(session, CompilePartition(plan.cst)).ok());
   DeviceQueryResult r = device.FinishQuery(session);
@@ -282,15 +333,16 @@ TEST(DeviceExecutorTest, ShutdownDrainsThenRejectsNewWork) {
   DeviceExecutor device(SmallDeviceOptions());
   FastRunOptions run;
   run.fpga = device.options().fpga;
-  auto before = RunCstOnDevice(device, plan.cst, plan.order, run, "t0", 1, "k");
+  const auto t0 = device.OpenQueue();
+  auto before = RunCstOnDevice(t0, plan.cst, plan.order, run);
   ASSERT_TRUE(before.ok());
 
   device.Shutdown();
   ResultCollector collector;
-  auto session = device.BeginQuery("t0", 1, "k", plan.order, &collector, nullptr);
+  auto session = device.BeginQuery(t0, plan.order, &collector, nullptr);
   EXPECT_EQ(device.EnqueuePartition(session, CompilePartition(plan.cst)).code(),
             StatusCode::kFailedPrecondition);
-  auto after = RunCstOnDevice(device, plan.cst, plan.order, run, "t0", 1, "k");
+  auto after = RunCstOnDevice(t0, plan.cst, plan.order, run);
   EXPECT_FALSE(after.ok());
 }
 
@@ -311,13 +363,14 @@ TEST(DeviceExecutorTest, ConcurrentSubmittersAllMatchCorrectly) {
   run.fpga = opts.fpga;
   constexpr int kThreads = 4;
   constexpr int kQueriesPerThread = 8;
+  const std::shared_ptr<DeviceQueue> queues[] = {device.OpenQueue(),
+                                                 device.OpenQueue()};
   std::atomic<int> failures{0};
   std::vector<std::thread> submitters;
   for (int t = 0; t < kThreads; ++t) {
     submitters.emplace_back([&, t] {
       for (int i = 0; i < kQueriesPerThread; ++i) {
-        auto r = RunCstOnDevice(device, plan.cst, plan.order, run,
-                                "t" + std::to_string(t % 2), 1, "paper-q");
+        auto r = RunCstOnDevice(queues[t % 2], plan.cst, plan.order, run);
         if (!r.ok() || r->embeddings != expected) failures.fetch_add(1);
       }
     });

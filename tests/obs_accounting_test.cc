@@ -43,7 +43,7 @@ std::uint64_t CounterValue(const MetricsSnapshot& snap,
 
 TEST(ResourceAccountsTest, EmptyTenantChargesDefaultAccount) {
   ResourceAccounts accounts;
-  accounts.Charge("", RequestOutcome::kCompleted, 0.0, MakeCost(10));
+  accounts.Charge(accounts.Open(""), RequestOutcome::kCompleted, 0.0, MakeCost(10));
   const auto snap = accounts.Snapshot();
   ASSERT_EQ(snap.size(), 1u);
   EXPECT_EQ(snap[0].tenant, obs::kDefaultAccount);
@@ -53,11 +53,29 @@ TEST(ResourceAccountsTest, EmptyTenantChargesDefaultAccount) {
   EXPECT_EQ(snap[0].plan_cache_bytes, 50u);
 }
 
+// One slot per id for the ledger's lifetime: "" and "__default" share one,
+// and a slot shows up as a row only once something is charged to it.
+TEST(ResourceAccountsTest, OpenResolvesOneSlotPerId) {
+  ResourceAccounts accounts;
+  obs::TenantSlot& a = accounts.Open("a");
+  EXPECT_EQ(&accounts.Open("a"), &a);
+  EXPECT_EQ(&accounts.Open(""), &accounts.Open(obs::kDefaultAccount));
+  EXPECT_EQ(a.id(), "a");
+  EXPECT_TRUE(accounts.Snapshot().empty());
+  EXPECT_EQ(accounts.Slots().size(), 2u);
+
+  accounts.Reject(a, /*quota=*/true);
+  const auto snap = accounts.Snapshot();
+  ASSERT_EQ(snap.size(), 1u);
+  EXPECT_EQ(snap[0].tenant, "a");
+  EXPECT_EQ(snap[0].rejected_quota, 1u);
+}
+
 TEST(ResourceAccountsTest, AggregatesPerTenantAndCountsErrors) {
   ResourceAccounts accounts;
-  accounts.Charge("b", RequestOutcome::kCompleted, 0.0, MakeCost(1));
-  accounts.Charge("a", RequestOutcome::kFailed, 0.0, MakeCost(2));
-  accounts.Charge("a", RequestOutcome::kCompleted, 0.0, MakeCost(3));
+  accounts.Charge(accounts.Open("b"), RequestOutcome::kCompleted, 0.0, MakeCost(1));
+  accounts.Charge(accounts.Open("a"), RequestOutcome::kFailed, 0.0, MakeCost(2));
+  accounts.Charge(accounts.Open("a"), RequestOutcome::kCompleted, 0.0, MakeCost(3));
   const auto snap = accounts.Snapshot();
   ASSERT_EQ(snap.size(), 2u);
   // Sorted by tenant id.
@@ -71,15 +89,15 @@ TEST(ResourceAccountsTest, AggregatesPerTenantAndCountsErrors) {
   EXPECT_EQ(snap[0].queue_wait_ns, 20u);
   EXPECT_EQ(snap[0].plan_cache_bytes, 25u);
   EXPECT_EQ(snap[1].requests, 1u);
-  EXPECT_EQ(accounts.num_accounts(), 2u);
+  EXPECT_EQ(accounts.Snapshot().size(), 2u);
 }
 
 TEST(ResourceAccountsTest, GlobalRegistryCountersMatchPerTenantSums) {
   MetricsRegistry reg;
   ResourceAccounts accounts(&reg);
-  accounts.Charge("a", RequestOutcome::kCompleted, 0.0, MakeCost(7));
-  accounts.Charge("b", RequestOutcome::kFailed, 0.0, MakeCost(11));
-  accounts.Charge("", RequestOutcome::kCompleted, 0.0, MakeCost(13));
+  accounts.Charge(accounts.Open("a"), RequestOutcome::kCompleted, 0.0, MakeCost(7));
+  accounts.Charge(accounts.Open("b"), RequestOutcome::kFailed, 0.0, MakeCost(11));
+  accounts.Charge(accounts.Open(""), RequestOutcome::kCompleted, 0.0, MakeCost(13));
 
   std::uint64_t requests = 0, errors = 0, cpu = 0, kernel = 0, dma = 0,
                 queue = 0, plan = 0;
@@ -102,8 +120,8 @@ TEST(ResourceAccountsTest, GlobalRegistryCountersMatchPerTenantSums) {
   EXPECT_EQ(CounterValue(snap, "fast_account_plan_cache_bytes_total"), plan);
 }
 
-// The TSan target: many threads charging overlapping tenants while another
-// snapshots. Totals must come out exact — Charge is atomic per account.
+// The TSan target: many threads opening and charging overlapping tenants
+// while another snapshots. Totals must come out exact — Charge is atomic per account.
 TEST(ResourceAccountsTest, ConcurrentChargesStayConsistent) {
   MetricsRegistry reg;
   ResourceAccounts accounts(&reg);
@@ -120,8 +138,10 @@ TEST(ResourceAccountsTest, ConcurrentChargesStayConsistent) {
   std::vector<std::thread> workers;
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&accounts, t] {
+      // Each thread opens its slot while the others already charge theirs.
+      obs::TenantSlot& slot = accounts.Open(t % 2 == 0 ? "even" : "odd");
       for (int i = 0; i < kIters; ++i) {
-        accounts.Charge(t % 2 == 0 ? "even" : "odd",
+        accounts.Charge(slot,
                         i % 10 != 0 ? RequestOutcome::kCompleted
                                     : RequestOutcome::kFailed,
                         0.0, MakeCost(1));
@@ -141,7 +161,7 @@ TEST(ResourceAccountsTest, ConcurrentChargesStayConsistent) {
 
 TEST(AccountingExportTest, JsonCarriesEveryCostDimension) {
   ResourceAccounts accounts;
-  accounts.Charge("t0", RequestOutcome::kCompleted, 0.0, MakeCost(9));
+  accounts.Charge(accounts.Open("t0"), RequestOutcome::kCompleted, 0.0, MakeCost(9));
   JsonWriter w;
   obs::WriteAccountsJson(w, accounts.Snapshot());
   const std::string doc = w.Finish();
@@ -157,8 +177,8 @@ TEST(AccountingExportTest, JsonCarriesEveryCostDimension) {
 
 TEST(AccountingExportTest, PrometheusTextLabelsEveryTenant) {
   ResourceAccounts accounts;
-  accounts.Charge("t0", RequestOutcome::kCompleted, 0.0, MakeCost(2));
-  accounts.Charge("t1", RequestOutcome::kFailed, 0.0, MakeCost(3));
+  accounts.Charge(accounts.Open("t0"), RequestOutcome::kCompleted, 0.0, MakeCost(2));
+  accounts.Charge(accounts.Open("t1"), RequestOutcome::kFailed, 0.0, MakeCost(3));
   const std::string text = obs::AccountsToPrometheusText(accounts.Snapshot());
   EXPECT_NE(text.find("# TYPE fast_tenant_requests_total counter"),
             std::string::npos);

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/accounting.h"
 #include "obs/metrics.h"
 #include "obs/request_obs.h"
 #include "obs/slo.h"
@@ -23,6 +24,7 @@ using obs::FlightRecorderOptions;
 using obs::MetricsRegistry;
 using obs::RequestCost;
 using obs::RequestObs;
+using obs::ResourceAccounts;
 using obs::SloEngine;
 using obs::SloOptions;
 using obs::SloTenantState;
@@ -61,12 +63,15 @@ std::string MakeTempDir(const char* tag) {
 
 TEST(SloEngineTest, BurnRateMathIsExact) {
   MetricsRegistry reg;
-  SloEngine eng(TightOptions(), &reg);
+  ResourceAccounts slots;
+  SloEngine eng(TightOptions(), &reg, slots);
   // 10 requests at t=1, 2 of them bad (slow). bad/total = 0.2, budget = 0.1,
   // burn = 2.0 in both windows.
-  for (int i = 0; i < 8; ++i) eng.Record("t", 0.001, true, 1.0);
-  eng.Record("t", 0.5, true, 1.0);   // over objective -> bad
-  eng.Record("t", 0.001, false, 1.0);  // error -> bad
+  for (int i = 0; i < 8; ++i) eng.Record(slots.Open("t"), 0.001, true, 1.0);
+  eng.Record(slots.Open("t"), 0.5, true, 1.0);   // over objective -> bad
+  eng.Record(slots.Open("t"), 0.001, false, 1.0);  // error -> bad
+  slots.Open("idle");  // opened, never recorded: no SLO state
+  ASSERT_EQ(eng.StateSnapshot(1.0).size(), 1u);
   const SloTenantState s = StateFor(eng, "t", 1.0);
   EXPECT_EQ(s.short_total, 10u);
   EXPECT_EQ(s.short_bad, 2u);
@@ -77,17 +82,18 @@ TEST(SloEngineTest, BurnRateMathIsExact) {
 TEST(SloEngineTest, BreachNeedsBothWindows) {
   MetricsRegistry reg;
   const SloOptions opts = TightOptions();
-  SloEngine eng(opts, &reg);
+  ResourceAccounts slots;
+  SloEngine eng(opts, &reg, slots);
   // Seed the long window with lots of good traffic spread over its span so
   // the long burn stays low when the short window goes bad.
   for (int t = 0; t < 90; ++t) {
     for (int i = 0; i < 10; ++i) {
-      eng.Record("t", 0.001, true, static_cast<double>(t));
+      eng.Record(slots.Open("t"), 0.001, true, static_cast<double>(t));
     }
   }
   // Now an all-bad burst at t=95: short window sees only bad, long window
   // is diluted by the 900 good requests.
-  for (int i = 0; i < 10; ++i) eng.Record("t", 0.5, true, 95.0);
+  for (int i = 0; i < 10; ++i) eng.Record(slots.Open("t"), 0.5, true, 95.0);
   SloTenantState s = StateFor(eng, "t", 95.0);
   EXPECT_GE(s.short_burn, opts.breach_burn_rate);
   EXPECT_LT(s.long_burn, opts.breach_burn_rate);
@@ -96,7 +102,7 @@ TEST(SloEngineTest, BreachNeedsBothWindows) {
   // Keep the burst going until the long window is saturated too.
   for (int t = 96; t < 300; ++t) {
     for (int i = 0; i < 10; ++i) {
-      eng.Record("t", 0.5, true, static_cast<double>(t));
+      eng.Record(slots.Open("t"), 0.5, true, static_cast<double>(t));
     }
   }
   s = StateFor(eng, "t", 299.0);
@@ -107,7 +113,8 @@ TEST(SloEngineTest, BreachNeedsBothWindows) {
 
 TEST(SloEngineTest, BreachCallbackFiresOncePerTransitionAndRecovers) {
   MetricsRegistry reg;
-  SloEngine eng(TightOptions(), &reg);
+  ResourceAccounts slots;
+  SloEngine eng(TightOptions(), &reg, slots);
   int callbacks = 0;
   std::string breached_tenant;
   eng.set_on_breach([&](const std::string& tenant, const SloTenantState& s) {
@@ -118,24 +125,24 @@ TEST(SloEngineTest, BreachCallbackFiresOncePerTransitionAndRecovers) {
   // All-bad traffic breaches both windows immediately (every bucket bad).
   for (int t = 0; t < 5; ++t) {
     for (int i = 0; i < 10; ++i) {
-      eng.Record("a", 0.5, true, static_cast<double>(t));
+      eng.Record(slots.Open("a"), 0.5, true, static_cast<double>(t));
     }
   }
   EXPECT_EQ(callbacks, 1);
   EXPECT_EQ(breached_tenant, "a");
   // More bad traffic while breached: no re-fire.
-  for (int i = 0; i < 10; ++i) eng.Record("a", 0.5, true, 5.0);
+  for (int i = 0; i < 10; ++i) eng.Record(slots.Open("a"), 0.5, true, 5.0);
   EXPECT_EQ(callbacks, 1);
   // Long quiet gap, then good traffic: both windows expire the bad buckets
   // and the tenant recovers.
-  for (int i = 0; i < 10; ++i) eng.Record("a", 0.001, true, 1000.0);
+  for (int i = 0; i < 10; ++i) eng.Record(slots.Open("a"), 0.001, true, 1000.0);
   const SloTenantState s = StateFor(eng, "a", 1000.0);
   EXPECT_FALSE(s.breached);
   EXPECT_EQ(s.recoveries, 1u);
   // Breach again -> callback fires a second time.
   for (int t = 1001; t < 1006; ++t) {
     for (int i = 0; i < 10; ++i) {
-      eng.Record("a", 0.5, true, static_cast<double>(t));
+      eng.Record(slots.Open("a"), 0.5, true, static_cast<double>(t));
     }
   }
   EXPECT_EQ(callbacks, 2);
@@ -144,10 +151,11 @@ TEST(SloEngineTest, BreachCallbackFiresOncePerTransitionAndRecovers) {
 
 TEST(SloEngineTest, RegistryCountersAndGaugesTrackTransitions) {
   MetricsRegistry reg;
-  SloEngine eng(TightOptions(), &reg);
+  ResourceAccounts slots;
+  SloEngine eng(TightOptions(), &reg, slots);
   for (int t = 0; t < 5; ++t) {
     for (int i = 0; i < 10; ++i) {
-      eng.Record("a", 0.5, true, static_cast<double>(t));
+      eng.Record(slots.Open("a"), 0.5, true, static_cast<double>(t));
     }
   }
   std::uint64_t breaches = 0;
@@ -260,10 +268,11 @@ TEST(RequestObsSloTest, BreachThroughOnFinishedWritesOneDump) {
   RequestCost cost;
   cost.cpu_ns = 1000;
   // Every request finishes far over the 10ms objective -> pure budget burn.
+  obs::TenantSlot& slot = obs.OpenTenant("tenant-x");
   for (int i = 0; i < 200; ++i) {
-    obs.OnFinished(RequestObs::Outcome::kCompleted, /*total_seconds=*/0.5,
-                   nullptr, /*request_id=*/i, "OK", "tenant-x",
-                   cost);
+    obs.OnFinished(slot, RequestObs::Outcome::kCompleted,
+                   /*total_seconds=*/0.5, nullptr, /*request_id=*/i, "OK",
+                   "tenant-x", cost);
   }
   EXPECT_GE(obs.slo()->total_breaches(), 1u);
   EXPECT_EQ(obs.flight_recorder()->dumps_written(), 1u);

@@ -160,9 +160,10 @@ TEST(RequestObsTest, TracingDisabledYieldsNullTraces) {
   opts.trace_ring_capacity = 8;
   RequestObs obs(opts);
   EXPECT_EQ(obs.StartTrace(), nullptr);
-  obs.OnSubmitted("");
-  const auto frozen = obs.OnFinished(RequestObs::Outcome::kCompleted, 0.01,
-                                     nullptr, 1, "OK");
+  obs::TenantSlot& slot = obs.OpenTenant("");
+  obs.OnSubmitted(slot);
+  const auto frozen = obs.OnFinished(slot, RequestObs::Outcome::kCompleted,
+                                     0.01, nullptr, 1, "OK");
   EXPECT_EQ(frozen, nullptr);
   EXPECT_TRUE(obs.recent_traces().empty());
   // Registry metrics still flow with tracing off.
@@ -184,8 +185,9 @@ TEST(RequestObsTest, SlowRequestsAreLoggedCountedAndRetained) {
   ASSERT_NE(trace, nullptr);
   trace->Begin(Span::kMatch);
   std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  const auto frozen = obs.OnFinished(RequestObs::Outcome::kCompleted, 0.001,
-                                     std::move(trace), 9, "OK");
+  const auto frozen =
+      obs.OnFinished(obs.OpenTenant(""), RequestObs::Outcome::kCompleted, 0.001,
+                     std::move(trace), 9, "OK");
   ASSERT_NE(frozen, nullptr);
   EXPECT_EQ(obs.recent_traces().size(), 1u);
   ASSERT_EQ(obs.slow_traces().size(), 1u);

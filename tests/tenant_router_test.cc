@@ -478,14 +478,19 @@ TEST(TenantRouterTest, TenantRowsSumToRouterTotalsUnderTraffic) {
   ASSERT_TRUE(router.AddTenant("b", PaperDataGraph()).ok());
 
   std::atomic<bool> stop{false};
+  std::atomic<bool> reading{false};
   std::atomic<int> snapshots{0};
   std::thread reader([&] {
-    while (!stop.load()) {
+    do {
+      reading.store(true);
       ExpectTenantRowsSumToTotals(router.stats());
       ExpectAccountRowsAddUp(router);
       snapshots.fetch_add(1);
-    }
+    } while (!stop.load());
   });
+  // The clients start once the first read has begun, so reads overlap the
+  // traffic however the threads are scheduled.
+  while (!reading.load()) std::this_thread::yield();
   std::vector<std::thread> clients;
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&router, c] {
@@ -532,28 +537,6 @@ TEST(TenantRouterTest, RemovedTenantStaysInRouterTotals) {
   EXPECT_EQ(s.latency.count(), 3u);
 }
 
-// Counters are keyed by tenant id for the router's lifetime: a removed id
-// re-added later continues its counts instead of restarting at zero.
-TEST(TenantRouterTest, ReAddedTenantContinuesItsCounters) {
-  TenantRouter router(SmallRouterOptions(2));
-  ASSERT_TRUE(router.AddTenant("b", PaperDataGraph()).ok());
-  ASSERT_TRUE(router.SubmitAndWait("b", PaperQuery()).ok());
-  ASSERT_TRUE(router.SubmitAndWait("b", TriangleQuery()).ok());
-  ASSERT_TRUE(router.RemoveTenant("b").ok());
-
-  ASSERT_TRUE(router.AddTenant("b", PaperDataGraph()).ok());
-  ASSERT_TRUE(router.SubmitAndWait("b", PaperQuery()).ok());
-  auto tb = router.tenant_stats("b");
-  ASSERT_TRUE(tb.ok());
-  EXPECT_EQ(tb->submitted, 3u);
-  EXPECT_EQ(tb->completed, 3u);
-  EXPECT_EQ(tb->latency.count(), 3u);
-  EXPECT_EQ(tb->epoch, 1u);  // the graph state itself is fresh
-  const tenant::RouterStats s = router.stats();
-  EXPECT_EQ(s.completed, 3u);
-  ExpectTenantRowsSumToTotals(s);
-}
-
 // SLO objectives that make every completed request GOOD and every deadline
 // rejection BAD, with windows wide enough that a test's records all count:
 // burn == 2 * bad / total, and a tenant breaches at half its requests bad.
@@ -565,6 +548,85 @@ obs::SloOptions CountingSloOptions() {
   slo.long_window_seconds = 7200.0;
   slo.breach_burn_rate = 1.0;
   return slo;
+}
+
+// Counters are kept per tenant id for the router's lifetime: a removed id
+// re-added later continues its counts instead of restarting at zero — inline
+// and in device mode, where the re-added tenant gets a fresh device queue
+// and its requests still match correctly.
+TEST(TenantRouterTest, ReAddedTenantContinuesItsCounters) {
+  const Graph g = PaperDataGraph();
+  const std::uint64_t expect_paper = BruteForceCount(PaperQuery(), g);
+  const std::uint64_t expect_triangle = BruteForceCount(TriangleQuery(), g);
+  for (const bool device_mode : {false, true}) {
+    SCOPED_TRACE(device_mode ? "device" : "inline");
+    RouterOptions options = SmallRouterOptions(2);
+    options.device_mode = device_mode;
+    TenantRouter router(options);
+    ASSERT_TRUE(router.AddTenant("b", g).ok());
+    auto r1 = router.SubmitAndWait("b", PaperQuery());
+    auto r2 = router.SubmitAndWait("b", TriangleQuery());
+    ASSERT_TRUE(r1.ok());
+    ASSERT_TRUE(r2.ok());
+    EXPECT_EQ(r1->run.embeddings, expect_paper);
+    EXPECT_EQ(r2->run.embeddings, expect_triangle);
+    ASSERT_TRUE(router.RemoveTenant("b").ok());
+
+    ASSERT_TRUE(router.AddTenant("b", g).ok());
+    auto r3 = router.SubmitAndWait("b", PaperQuery());
+    ASSERT_TRUE(r3.ok());
+    EXPECT_EQ(r3->run.embeddings, expect_paper);
+    auto tb = router.tenant_stats("b");
+    ASSERT_TRUE(tb.ok());
+    EXPECT_EQ(tb->submitted, 3u);
+    EXPECT_EQ(tb->completed, 3u);
+    EXPECT_EQ(tb->latency.count(), 3u);
+    EXPECT_EQ(tb->epoch, 1u);  // the graph state itself is fresh
+    const tenant::RouterStats s = router.stats();
+    EXPECT_EQ(s.completed, 3u);
+    ExpectTenantRowsSumToTotals(s);
+    if (device_mode) EXPECT_EQ(s.device.queries, 3u);
+  }
+
+  // With SLO on, the re-added tenant's windows continue too. Every deadline
+  // rejection is bad and every completion good, and a tenant is in breach
+  // while at least half its requests are bad (CountingSloOptions).
+  RouterOptions options = SmallRouterOptions(1);
+  options.slo = CountingSloOptions();
+  TenantRouter router(options);
+  RequestOptions expired;
+  expired.deadline_seconds = 1e-9;  // passes before any dispatch
+  const auto bad = [&] {
+    EXPECT_EQ(router.SubmitAndWait("b", PaperQuery(), expired).status().code(),
+              StatusCode::kDeadlineExceeded);
+  };
+  const auto good = [&] { EXPECT_TRUE(router.SubmitAndWait("b", PaperQuery()).ok()); };
+  const auto state = [&] {
+    for (const obs::SloTenantState& st :
+         router.request_obs()->slo()->StateSnapshot(
+             router.request_obs()->uptime_seconds())) {
+      if (st.tenant == "b") return st;
+    }
+    return obs::SloTenantState{};
+  };
+  ASSERT_TRUE(router.AddTenant("b", g).ok());
+  bad();   // 1 bad of 1: breach
+  good();  // 1 of 2: still in breach
+  good();  // 1 of 3: recovered
+  EXPECT_EQ(state().breaches, 1u);
+  EXPECT_EQ(state().recoveries, 1u);
+  ASSERT_TRUE(router.RemoveTenant("b").ok());
+
+  ASSERT_TRUE(router.AddTenant("b", g).ok());
+  bad();   // 2 of 4: a second breach (a fresh window would make it 1 of 1)
+  good();  // 2 of 5: recovered again
+  const obs::SloTenantState b = state();
+  EXPECT_EQ(b.long_total, 5u);
+  EXPECT_EQ(b.long_bad, 2u);
+  EXPECT_FALSE(b.breached);
+  EXPECT_EQ(b.breaches, 2u);
+  EXPECT_EQ(b.recoveries, 2u);
+  EXPECT_EQ(router.request_obs()->slo()->total_breaches(), 2u);
 }
 
 // The account rows minus their wall-clock fields (cpu_ns, queue_wait_ns,
