@@ -103,7 +103,8 @@ std::vector<AccountSnapshot> ResourceAccounts::Snapshot() const {
     const AccountSnapshot& a = slot.account;
     // Every first charge bumps one of these, so they tell a row that was
     // ever charged from a slot that was only opened.
-    if (a.submitted + a.rejected_queue_full + a.rejected_quota + a.requests > 0) {
+    if (a.submitted + a.rejected_queue_full + a.rejected_quota + a.requests >
+        0) {
       out.push_back(a);
     }
   }

@@ -120,7 +120,8 @@ void GraphState::Execute(const CanonicalQuery& canonical,
                          const RequestOptions& opts, const GraphSnapshot& snap,
                          const FastRunOptions& base_run,
                          const CancelToken* cancel,
-                         const std::shared_ptr<device::DeviceQueue>& device_queue,
+                         const std::shared_ptr<device::DeviceQueue>&
+                             device_queue,
                          obs::RequestTrace* trace, RequestResult* result) {
   FastRunOptions run = base_run;
   run.explicit_order.reset();

@@ -377,9 +377,8 @@ TenantStats TenantRouter::MakeTenantStats(
   TenantStats out;
   out.id = t.id;
   out.weight = t.opts.weight;
-  if (const obs::AccountSnapshot* row = obs::FindAccount(accounts, t.slot.id())) {
-    out.Add(*row);
-  }
+  const obs::AccountSnapshot* row = obs::FindAccount(accounts, t.slot.id());
+  if (row != nullptr) out.Add(*row);
   t.state.publication_stats(&out.epoch, &out.graph_swaps);
   out.cache = t.state.cache_stats();
   return out;

@@ -56,9 +56,9 @@ Plan BuildPlan(const QueryGraph& q, const Graph& g) {
 
 // The pipeline's miss path from a prebuilt CST, placed on the shared device
 // through `queue`: the run partitions its own copy of the CST.
-StatusOr<FastRunResult> RunCstOnDevice(const std::shared_ptr<DeviceQueue>& queue,
-                                       const Cst& cst, const MatchingOrder& order,
-                                       const FastRunOptions& options) {
+StatusOr<FastRunResult> RunCstOnDevice(
+    const std::shared_ptr<DeviceQueue>& queue, const Cst& cst,
+    const MatchingOrder& order, const FastRunOptions& options) {
   device::DevicePlacement placement(queue);
   return RunFastWithCst(cst, order, options, 0.0, nullptr, &placement);
 }

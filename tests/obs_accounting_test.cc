@@ -43,7 +43,8 @@ std::uint64_t CounterValue(const MetricsSnapshot& snap,
 
 TEST(ResourceAccountsTest, EmptyTenantChargesDefaultAccount) {
   ResourceAccounts accounts;
-  accounts.Charge(accounts.Open(""), RequestOutcome::kCompleted, 0.0, MakeCost(10));
+  accounts.Charge(accounts.Open(""), RequestOutcome::kCompleted, 0.0,
+                  MakeCost(10));
   const auto snap = accounts.Snapshot();
   ASSERT_EQ(snap.size(), 1u);
   EXPECT_EQ(snap[0].tenant, obs::kDefaultAccount);
@@ -73,9 +74,12 @@ TEST(ResourceAccountsTest, OpenResolvesOneSlotPerId) {
 
 TEST(ResourceAccountsTest, AggregatesPerTenantAndCountsErrors) {
   ResourceAccounts accounts;
-  accounts.Charge(accounts.Open("b"), RequestOutcome::kCompleted, 0.0, MakeCost(1));
-  accounts.Charge(accounts.Open("a"), RequestOutcome::kFailed, 0.0, MakeCost(2));
-  accounts.Charge(accounts.Open("a"), RequestOutcome::kCompleted, 0.0, MakeCost(3));
+  accounts.Charge(accounts.Open("b"), RequestOutcome::kCompleted, 0.0,
+                  MakeCost(1));
+  accounts.Charge(accounts.Open("a"), RequestOutcome::kFailed, 0.0,
+                  MakeCost(2));
+  accounts.Charge(accounts.Open("a"), RequestOutcome::kCompleted, 0.0,
+                  MakeCost(3));
   const auto snap = accounts.Snapshot();
   ASSERT_EQ(snap.size(), 2u);
   // Sorted by tenant id.
@@ -95,9 +99,12 @@ TEST(ResourceAccountsTest, AggregatesPerTenantAndCountsErrors) {
 TEST(ResourceAccountsTest, GlobalRegistryCountersMatchPerTenantSums) {
   MetricsRegistry reg;
   ResourceAccounts accounts(&reg);
-  accounts.Charge(accounts.Open("a"), RequestOutcome::kCompleted, 0.0, MakeCost(7));
-  accounts.Charge(accounts.Open("b"), RequestOutcome::kFailed, 0.0, MakeCost(11));
-  accounts.Charge(accounts.Open(""), RequestOutcome::kCompleted, 0.0, MakeCost(13));
+  accounts.Charge(accounts.Open("a"), RequestOutcome::kCompleted, 0.0,
+                  MakeCost(7));
+  accounts.Charge(accounts.Open("b"), RequestOutcome::kFailed, 0.0,
+                  MakeCost(11));
+  accounts.Charge(accounts.Open(""), RequestOutcome::kCompleted, 0.0,
+                  MakeCost(13));
 
   std::uint64_t requests = 0, errors = 0, cpu = 0, kernel = 0, dma = 0,
                 queue = 0, plan = 0;
@@ -121,7 +128,8 @@ TEST(ResourceAccountsTest, GlobalRegistryCountersMatchPerTenantSums) {
 }
 
 // The TSan target: many threads opening and charging overlapping tenants
-// while another snapshots. Totals must come out exact — Charge is atomic per account.
+// while another snapshots. Totals must come out exact — Charge is atomic per
+// account.
 TEST(ResourceAccountsTest, ConcurrentChargesStayConsistent) {
   MetricsRegistry reg;
   ResourceAccounts accounts(&reg);
@@ -161,7 +169,8 @@ TEST(ResourceAccountsTest, ConcurrentChargesStayConsistent) {
 
 TEST(AccountingExportTest, JsonCarriesEveryCostDimension) {
   ResourceAccounts accounts;
-  accounts.Charge(accounts.Open("t0"), RequestOutcome::kCompleted, 0.0, MakeCost(9));
+  accounts.Charge(accounts.Open("t0"), RequestOutcome::kCompleted, 0.0,
+                  MakeCost(9));
   JsonWriter w;
   obs::WriteAccountsJson(w, accounts.Snapshot());
   const std::string doc = w.Finish();
@@ -177,8 +186,10 @@ TEST(AccountingExportTest, JsonCarriesEveryCostDimension) {
 
 TEST(AccountingExportTest, PrometheusTextLabelsEveryTenant) {
   ResourceAccounts accounts;
-  accounts.Charge(accounts.Open("t0"), RequestOutcome::kCompleted, 0.0, MakeCost(2));
-  accounts.Charge(accounts.Open("t1"), RequestOutcome::kFailed, 0.0, MakeCost(3));
+  accounts.Charge(accounts.Open("t0"), RequestOutcome::kCompleted, 0.0,
+                  MakeCost(2));
+  accounts.Charge(accounts.Open("t1"), RequestOutcome::kFailed, 0.0,
+                  MakeCost(3));
   const std::string text = obs::AccountsToPrometheusText(accounts.Snapshot());
   EXPECT_NE(text.find("# TYPE fast_tenant_requests_total counter"),
             std::string::npos);

@@ -585,7 +585,7 @@ TEST(TenantRouterTest, ReAddedTenantContinuesItsCounters) {
     const tenant::RouterStats s = router.stats();
     EXPECT_EQ(s.completed, 3u);
     ExpectTenantRowsSumToTotals(s);
-    if (device_mode) EXPECT_EQ(s.device.queries, 3u);
+    EXPECT_EQ(s.device.queries, device_mode ? 3u : 0u);
   }
 
   // With SLO on, the re-added tenant's windows continue too. Every deadline
@@ -600,7 +600,9 @@ TEST(TenantRouterTest, ReAddedTenantContinuesItsCounters) {
     EXPECT_EQ(router.SubmitAndWait("b", PaperQuery(), expired).status().code(),
               StatusCode::kDeadlineExceeded);
   };
-  const auto good = [&] { EXPECT_TRUE(router.SubmitAndWait("b", PaperQuery()).ok()); };
+  const auto good = [&] {
+    EXPECT_TRUE(router.SubmitAndWait("b", PaperQuery()).ok());
+  };
   const auto state = [&] {
     for (const obs::SloTenantState& st :
          router.request_obs()->slo()->StateSnapshot(
@@ -631,7 +633,8 @@ TEST(TenantRouterTest, ReAddedTenantContinuesItsCounters) {
 
 // The account rows minus their wall-clock fields (cpu_ns, queue_wait_ns,
 // latency values), one line per row.
-std::string DeterministicAccountRows(const std::vector<obs::AccountSnapshot>& rows) {
+std::string DeterministicAccountRows(
+    const std::vector<obs::AccountSnapshot>& rows) {
   std::string out;
   for (const obs::AccountSnapshot& a : rows) {
     char buf[512];
@@ -641,7 +644,8 @@ std::string DeterministicAccountRows(const std::vector<obs::AccountSnapshot>& ro
                   "rejected_deadline=%llu cancelled_midrun=%llu latency_n=%llu "
                   "requests=%llu errors=%llu device_kernel_ns=%llu "
                   "dma_bytes=%llu plan_cache_bytes=%llu\n",
-                  a.tenant.c_str(), static_cast<unsigned long long>(a.submitted),
+                  a.tenant.c_str(),
+                  static_cast<unsigned long long>(a.submitted),
                   static_cast<unsigned long long>(a.completed),
                   static_cast<unsigned long long>(a.failed),
                   static_cast<unsigned long long>(a.rejected_queue_full),
@@ -690,7 +694,8 @@ std::string SloStates(const std::vector<obs::SloTenantState>& states) {
                   static_cast<unsigned long long>(s.short_bad), s.long_burn,
                   static_cast<unsigned long long>(s.long_total),
                   static_cast<unsigned long long>(s.long_bad),
-                  s.breached ? 1 : 0, static_cast<unsigned long long>(s.breaches),
+                  s.breached ? 1 : 0,
+                  static_cast<unsigned long long>(s.breaches),
                   static_cast<unsigned long long>(s.recoveries));
     out += buf;
   }
