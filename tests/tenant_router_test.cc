@@ -6,8 +6,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
 #include <chrono>
+#include <cstdio>
 #include <mutex>
 #include <set>
 #include <string>
