@@ -15,8 +15,8 @@
 // with no CST build and no re-partition.
 //
 // A plan is immutable once recorded. Partitions are shared_ptr<const Cst>, so
-// any number of concurrent requests, and the device thread, read the same
-// partitions without copying them.
+// any number of concurrent requests, and the threads matching shared-device
+// items, read the same partitions without copying them.
 
 #include <cstddef>
 #include <memory>

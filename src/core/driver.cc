@@ -157,14 +157,17 @@ StatusOr<FastRunResult> PlaceAndCompose(const FastRunOptions& options,
   }
 
   // (5) The CPU share runs after partitioning completes (Sec. V-C) and after
-  // the card has drained, so the collector is never shared with a device
-  // thread.
+  // the card has drained, so no thread matching card items touches the
+  // collector meanwhile.
   result.partition_stats = plan.partition_stats;
   Timer share_timer;
-  for (const auto& part : plan.cpu) {
-    FAST_ASSIGN_OR_RETURN(std::uint64_t found,
-                          MatchCstOnCpu(*part, order, &collector, options.cancel));
-    result.embeddings += found;
+  if (!plan.cpu.empty()) {
+    FAST_PROF_STAGE("cpu_share");
+    for (const auto& part : plan.cpu) {
+      FAST_ASSIGN_OR_RETURN(std::uint64_t found,
+                            MatchCstOnCpu(*part, order, &collector, options.cancel));
+      result.embeddings += found;
+    }
   }
   result.cpu_partitions = plan.cpu.size();
   result.cpu_share_seconds = plan.cpu.empty() ? 0.0 : share_timer.ElapsedSeconds();
@@ -208,7 +211,10 @@ Status PartitionAndPlace(const Cst& cst, const MatchingOrder& order,
   const bool share = options.cpu_share_delta > 0.0;
   const auto fpga_sink = [&](Cst part) -> Status {
     // W_F only matters to Alg. 3's admission test.
-    if (share) plan.w_fpga += EstimateWorkload(part);
+    if (share) {
+      FAST_PROF_STAGE("estimate");
+      plan.w_fpga += EstimateWorkload(part);
+    }
     CompiledPartition compiled = CompilePartition(std::move(part));
     FAST_RETURN_IF_ERROR(placement.Place(compiled));
     if (record) plan.fpga.push_back(std::move(compiled));
@@ -219,7 +225,10 @@ Status PartitionAndPlace(const Cst& cst, const MatchingOrder& order,
   // partitioning, so the host can absorb oversized CSTs instead of recursing
   // on them (Sec. VII-B's FAST-SHARE saving).
   const auto try_cpu = [&](Cst& part) -> bool {
-    const double w = EstimateWorkload(part);
+    const double w = [&] {
+      FAST_PROF_STAGE("estimate");
+      return EstimateWorkload(part);
+    }();
     if (plan.w_cpu + w >= options.cpu_share_delta * (plan.w_cpu + plan.w_fpga + w)) {
       return false;
     }

@@ -77,8 +77,10 @@ struct FastRunOptions {
   // Store up to this many embeddings in the result (0 = count only).
   std::size_t store_limit = 0;
 
-  // Streaming per-embedding callback, invoked from the matching thread as
-  // results are found (before storage). Independent of store_limit.
+  // Streaming per-embedding callback, invoked as results are found (before
+  // storage). Independent of store_limit. Calls are serialized per run; on
+  // the shared device (device::DevicePlacement) they may come from the
+  // device thread or from any worker waiting on it.
   std::function<void(std::span<const VertexId>)> embedding_callback;
 
   // Cooperative cancellation (util/cancel.h): probed between pipeline phases

@@ -39,9 +39,14 @@ class ResultCollector {
 
   std::uint64_t count() const { return count_; }
   const std::vector<Embedding>& stored() const { return stored_; }
+  std::size_t store_limit() const { return store_limit_; }
+  const std::function<void(std::span<const VertexId>)>& callback() const {
+    return callback_;
+  }
 
   // Merges counts and stored embeddings from another collector (used to join
-  // per-thread collectors, e.g. CECI-8).
+  // per-thread collectors, e.g. CECI-8, and the shared device's per-item
+  // collectors).
   void Merge(const ResultCollector& other) {
     count_ += other.count_;
     for (const auto& e : other.stored_) {

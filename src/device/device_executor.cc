@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstdio>
 #include <deque>
-#include <optional>
 #include <utility>
 
 #include "core/kernel.h"
@@ -21,17 +20,30 @@ namespace {
 constexpr std::size_t kRecentRoundsCapacity = 2048;
 }  // namespace
 
-// One query session: the queue it is scheduled on, the per-query sinks the
-// device thread feeds, and the completion latch FinishQuery waits on.
+// One query session: the queue it is scheduled on, the per-query sinks its
+// items feed, and the count FinishQuery waits on.
 struct DeviceQuery {
   std::shared_ptr<DeviceQueue> queue;
   MatchingOrder order;
   ResultCollector* collector = nullptr;
   const CancelToken* cancel = nullptr;
 
+  // The items of one query may match on several threads at once, each into
+  // its own collector; this forwards their embeddings to `collector`'s
+  // callback one at a time (empty when it has none).
+  std::function<void(std::span<const VertexId>)> item_callback;
+  std::mutex callback_mu;
+
+  // FinishQuery's sleep, guarded by the executor's claim_mu_: listed in its
+  // waiters_ while `waiting`, and woken only by a round opening with an item
+  // to spare or by this query's last item being folded. One wake per
+  // sleeper, not one shared condition: with one-item rounds a shared wake
+  // would rouse every sleeping worker at each round's end.
+  std::condition_variable_any wake;
+  bool waiting = false;
+
   std::mutex mu;
-  std::condition_variable cv;
-  std::size_t outstanding = 0;  // enqueued, not yet finalized
+  std::size_t outstanding = 0;  // enqueued, not yet reassembled
   DeviceQueryResult result;
 };
 
@@ -39,6 +51,14 @@ struct DeviceQuery {
 struct DeviceExecutor::WorkItem {
   std::shared_ptr<DeviceQuery> query;
   CompiledPartition part;
+};
+
+// One item's matching outcome, staged until the round's reassembly.
+struct DeviceExecutor::ItemOutcome {
+  Status status = Status::OK();
+  KernelRunResult run;
+  ResultCollector collector;
+  double kernel_seconds = 0.0;
 };
 
 // One fairness queue: its executor, and the pending items and WRR state
@@ -110,6 +130,12 @@ std::shared_ptr<DeviceQuery> DeviceExecutor::BeginQuery(
   query->order = order;
   query->collector = collector;
   query->cancel = cancel;
+  if (collector != nullptr && collector->callback()) {
+    query->item_callback = [q = query.get()](std::span<const VertexId> mapping) {
+      std::lock_guard<std::mutex> lock(q->callback_mu);
+      q->collector->callback()(mapping);
+    };
+  }
   return query;
 }
 
@@ -146,10 +172,25 @@ Status DeviceExecutor::EnqueuePartition(
 
 DeviceQueryResult DeviceExecutor::FinishQuery(
     const std::shared_ptr<DeviceQuery>& query) {
+  const auto outstanding = [&] {
+    std::lock_guard<std::mutex> qlock(query->mu);
+    return query->outstanding;
+  };
+  {
+    // Match open items of any query while this one has items outstanding;
+    // sleep until a round opens with an item to spare or this query's last
+    // item is folded.
+    std::unique_lock<util::ProfiledMutex> lock(claim_mu_);
+    while (outstanding() > 0) {
+      if (ClaimAndMatch(lock)) continue;
+      query->waiting = true;
+      waiters_.push_back(query.get());
+      query->wake.wait(lock, [&] { return !query->waiting; });
+    }
+  }
   DeviceQueryResult result;
   {
-    std::unique_lock<std::mutex> lock(query->mu);
-    query->cv.wait(lock, [&] { return query->outstanding == 0; });
+    std::lock_guard<std::mutex> qlock(query->mu);
     result = std::move(query->result);
   }
   {
@@ -295,75 +336,52 @@ void DeviceExecutor::RunRound(std::vector<WorkItem> round) {
 
   const std::uint64_t round_id = n_live > 0 ? ++round_seq_ : round_seq_;
 
-  // --- Matching phase: items run back to back on the one simulated card.
-  // Outcomes are staged locally so the round's stats publish BEFORE any
-  // query is notified: a caller returning from FinishQuery must already see
-  // its rounds in stats(). ---
-  struct ItemOutcome {
-    Status status = Status::OK();
-    KernelRunResult run;
-    double kernel_seconds = 0.0;
-  };
+  // --- Matching phase: the round's live items are open for claiming. The
+  // device thread and any worker blocked in FinishQuery match them, each item
+  // on one thread into its own collector. Outcomes are staged so the round's
+  // stats publish BEFORE any query is notified: a caller returning from
+  // FinishQuery must already see its rounds in stats(). ---
   std::vector<ItemOutcome> outcomes(round.size());
+  {
+    std::unique_lock<util::ProfiledMutex> lock(claim_mu_);
+    open_round_ = &round;
+    open_outcomes_ = &outcomes;
+    for (std::size_t i = 0; i < round.size(); ++i) {
+      if (live[i]) open_items_.push_back(i);
+    }
+    unmatched_ = n_live;
+    // The device thread takes the first item; wake one sleeper per other.
+    for (std::size_t k = 1; k < n_live && !waiters_.empty(); ++k) {
+      Wake(waiters_.size() - 1);
+    }
+    while (ClaimAndMatch(lock)) {
+    }
+    done_cv_.wait(lock, [&] { return unmatched_ == 0; });
+    open_items_.clear();
+    next_claim_ = 0;
+  }
+
+  // Per-round sums add in round order, whichever thread matched an item.
   std::vector<const DeviceQuery*> round_queries;  // distinct, executed
   double round_kernel = 0.0;
   std::uint64_t executed = 0;
   std::uint64_t cancelled = 0;
   std::uint64_t failed = 0;
-  std::vector<RoundWork> trace;
-  // Stage scopes held in an optional so "kernel" closes before "reassembly"
-  // opens without re-nesting the two big loops below.
-  std::optional<obs::StageScope> prof_stage;
-  prof_stage.emplace("kernel");
   for (std::size_t i = 0; i < round.size(); ++i) {
-    const Cst& part = *round[i].part.cst;
-    DeviceQuery& q = *round[i].query;
-
-    Status item_status = Status::OK();
-    KernelRunResult run;
-    double kernel_s = 0.0;
+    ItemOutcome& out = outcomes[i];
     if (!live[i]) {
-      item_status =
+      out.status =
           Status::DeadlineExceeded("device work item cancelled before matching");
-    } else {
-      trace.clear();
-      StatusOr<KernelRunResult> r =
-          RunKernel(part, q.order, fpga, q.collector, &trace, q.cancel);
-      if (!r.ok()) {
-        item_status = r.status();
-      } else {
-        run = std::move(*r);
-        // Matching-phase cycles: per-round pipeline timing over the trace.
-        StatusOr<PipelineSimResult> sim =
-            SimulatePipeline(fpga, options_.variant, trace, q.cancel);
-        if (!sim.ok()) {
-          item_status = sim.status();
-        } else {
-          double cycles = sim->cycles;
-          cycles += ResultFlushCycles(fpga, run.embeddings,
-                                      part.NumQueryVertices());
-          if (options_.variant != FastVariant::kDram) {
-            // The image sits in card DRAM after the shared transfer; each
-            // matching pass still DMAs it into BRAM (dedup shares the PCIe
-            // hop, not the BRAM load).
-            cycles += CstLoadCycles(fpga, part.SizeWords());
-          }
-          kernel_s = fpga.CyclesToSeconds(cycles);
-        }
-      }
     }
-
-    outcomes[i].status = std::move(item_status);
-    outcomes[i].run = std::move(run);
-    outcomes[i].kernel_seconds = kernel_s;
-    if (outcomes[i].status.ok()) {
+    if (out.status.ok()) {
       ++executed;
-      if (std::find(round_queries.begin(), round_queries.end(), &q) ==
+      const DeviceQuery* q = round[i].query.get();
+      if (std::find(round_queries.begin(), round_queries.end(), q) ==
           round_queries.end()) {
-        round_queries.push_back(&q);
+        round_queries.push_back(q);
       }
-      round_kernel += kernel_s;
-    } else if (outcomes[i].status.code() == StatusCode::kDeadlineExceeded) {
+      round_kernel += out.kernel_seconds;
+    } else if (out.status.code() == StatusCode::kDeadlineExceeded) {
       ++cancelled;
     } else {
       // A genuine kernel/pipeline error, not a deadline: keep it out of the
@@ -371,8 +389,6 @@ void DeviceExecutor::RunRound(std::vector<WorkItem> round) {
       ++failed;
     }
   }
-
-  prof_stage.reset();
 
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
@@ -424,8 +440,10 @@ void DeviceExecutor::RunRound(std::vector<WorkItem> round) {
         static_cast<double>(std::max<std::size_t>(1, options_.max_batch_items)));
   }
 
-  // --- Reassembly: fold each item into its query and release waiters. ---
-  prof_stage.emplace("reassembly");
+  // --- Reassembly: fold each item into its query, in round order, and
+  // wake the waiters once a query has no items left. ---
+  FAST_PROF_STAGE("reassembly");
+  std::vector<DeviceQuery*> finished;
   for (std::size_t i = 0; i < round.size(); ++i) {
     DeviceQuery& q = *round[i].query;
     ItemOutcome& out = outcomes[i];
@@ -442,6 +460,7 @@ void DeviceExecutor::RunRound(std::vector<WorkItem> round) {
         // skipped above and keep the original status.
         if (q.result.status.ok()) q.result.status = std::move(out.status);
       } else {
+        if (q.collector != nullptr) q.collector->Merge(out.collector);
         q.result.counters += out.run.counters;
         q.result.embeddings += out.run.embeddings;
         q.result.kernel_seconds += out.kernel_seconds;
@@ -452,10 +471,79 @@ void DeviceExecutor::RunRound(std::vector<WorkItem> round) {
         if (q.result.first_round == 0) q.result.first_round = round_id;
         q.result.last_round = round_id;
       }
-      --q.outstanding;
-      if (q.outstanding == 0) q.cv.notify_all();
+      if (--q.outstanding == 0) finished.push_back(&q);
     }
   }
+  if (!finished.empty()) {
+    std::lock_guard<util::ProfiledMutex> lock(claim_mu_);
+    for (DeviceQuery* q : finished) {
+      if (!q->waiting) continue;
+      Wake(static_cast<std::size_t>(
+          std::find(waiters_.begin(), waiters_.end(), q) - waiters_.begin()));
+    }
+  }
+}
+
+void DeviceExecutor::Wake(std::size_t waiter) {
+  DeviceQuery* q = waiters_[waiter];
+  waiters_[waiter] = waiters_.back();
+  waiters_.pop_back();
+  q->waiting = false;
+  q->wake.notify_one();
+}
+
+DeviceExecutor::ItemOutcome DeviceExecutor::MatchItem(const WorkItem& item) const {
+  const FpgaConfig& fpga = options_.fpga;
+  const Cst& part = *item.part.cst;
+  const DeviceQuery& q = *item.query;
+  ItemOutcome out;
+  if (q.collector != nullptr) {
+    out.collector = ResultCollector(q.collector->store_limit());
+  }
+  if (q.item_callback) out.collector.SetCallback(q.item_callback);
+
+  thread_local std::vector<RoundWork> trace;
+  trace.clear();
+  StatusOr<KernelRunResult> run = [&] {
+    FAST_PROF_STAGE("kernel");
+    return RunKernel(part, q.order, fpga, &out.collector, &trace, q.cancel);
+  }();
+  if (!run.ok()) {
+    out.status = run.status();
+    return out;
+  }
+  out.run = std::move(*run);
+  // Matching-phase cycles: per-round pipeline timing over the trace.
+  StatusOr<PipelineSimResult> sim = [&] {
+    FAST_PROF_STAGE("pipeline_sim");
+    return SimulatePipeline(fpga, options_.variant, trace, q.cancel);
+  }();
+  if (!sim.ok()) {
+    out.status = sim.status();
+    return out;
+  }
+  double cycles = sim->cycles;
+  cycles += ResultFlushCycles(fpga, out.run.embeddings, part.NumQueryVertices());
+  if (options_.variant != FastVariant::kDram) {
+    // The image sits in card DRAM after the shared transfer; each matching
+    // pass still DMAs it into BRAM (dedup shares the PCIe hop, not the BRAM
+    // load).
+    cycles += CstLoadCycles(fpga, part.SizeWords());
+  }
+  out.kernel_seconds = fpga.CyclesToSeconds(cycles);
+  return out;
+}
+
+bool DeviceExecutor::ClaimAndMatch(std::unique_lock<util::ProfiledMutex>& lock) {
+  if (next_claim_ == open_items_.size()) return false;
+  const std::size_t i = open_items_[next_claim_++];
+  const WorkItem& item = (*open_round_)[i];
+  ItemOutcome& out = (*open_outcomes_)[i];
+  lock.unlock();
+  out = MatchItem(item);
+  lock.lock();
+  if (--unmatched_ == 0) done_cv_.notify_one();
+  return true;
 }
 
 DeviceStats DeviceExecutor::stats() const {

@@ -18,6 +18,8 @@
 //      │                   │ images cross once),    │
 //      │                   │ then match each item   │
 //      │                   │ (kernel + cycle model) │
+//      │                   │ on whichever thread    │
+//      │                   │ claims it              │
 //      │                   └───────────┬────────────┘
 //      └── FinishQuery ◀── per-query reassembly (counters, embeddings,
 //                          simulated kernel/PCIe seconds) ◀──┘
@@ -47,11 +49,23 @@
 // — and the kernel/pipeline simulation probe it per round, so an expired
 // deadline aborts inside a device round exactly like the CPU path.
 //
-// Threading: one device thread (the simulated card) executes rounds
-// sequentially; any number of workers submit concurrently. EnqueuePartition
-// applies back-pressure (blocks) past `max_queued_items`. Shutdown drains all
-// queued items, so FinishQuery never deadlocks; owners must stop submitting
-// workers before shutting the executor down.
+// Threading: one device thread (the simulated card) forms, transfers and
+// times rounds sequentially; any number of workers submit concurrently.
+// A round's items are independent search spaces, so their matching is
+// claimable work: once the transfer phase is done, the device thread and
+// the workers blocked in FinishQuery (one woken per item past the first)
+// claim the round's items one at a time and match them, each into its own
+// collector, with no lock held. The
+// device thread waits for the last item, then publishes the round's stats
+// and folds the items into their queries in round order, so every
+// simulated sum and every query's stored embeddings come out as if one
+// thread had matched the round. A query's embedding callback is serialized
+// by a per-query mutex but may run on the device thread or on any worker.
+// The device thread alone can drain every round, so no worker is needed
+// for progress. EnqueuePartition applies back-pressure (blocks) past
+// `max_queued_items`. Shutdown drains all queued items, so FinishQuery never
+// deadlocks; owners must stop submitting workers before shutting the
+// executor down.
 
 #include <condition_variable>
 #include <cstdint>
@@ -178,25 +192,29 @@ class DeviceExecutor {
 
   // Opens a query session on `queue` (from this executor's OpenQueue).
   // `collector` and `cancel` are borrowed; the caller keeps both alive until
-  // FinishQuery returns. The collector is only touched from the device
-  // thread until then.
+  // FinishQuery returns. Until then the device thread folds matched items
+  // into the collector, and its callback runs, one call at a time, on
+  // whichever thread matches an item: the device thread or any worker in
+  // FinishQuery.
   std::shared_ptr<DeviceQuery> BeginQuery(std::shared_ptr<DeviceQueue> queue,
                                           const MatchingOrder& order,
                                           ResultCollector* collector,
                                           const CancelToken* cancel);
 
   // Enqueues one CST partition of `query`. The partition is shared, not
-  // copied: the device thread reads it until the item's round ends, so a
-  // cached plan's partitions can be enqueued by any number of queries — and
-  // items of one round that share a partition transfer it once. Blocks on
-  // back-pressure; FAILED_PRECONDITION after Shutdown. Call from one thread
-  // per query.
+  // copied: the device thread and the thread that claims the item read it
+  // until the item's round ends, so a cached plan's partitions can be
+  // enqueued by any number of queries — and items of one round that share a
+  // partition transfer it once. Blocks on back-pressure; FAILED_PRECONDITION
+  // after Shutdown. Call from one thread per query.
   Status EnqueuePartition(const std::shared_ptr<DeviceQuery>& query,
                           CompiledPartition part);
 
   // Blocks until every enqueued partition of `query` has been matched (or
-  // skipped by cancellation) and returns the aggregate. Call once, after the
-  // last EnqueuePartition.
+  // skipped by cancellation) and returns the aggregate. While it waits, the
+  // calling thread matches open items of any query's round; it sleeps until
+  // a round opens with an item to spare or `query` finishes. Call once,
+  // after the last EnqueuePartition.
   DeviceQueryResult FinishQuery(const std::shared_ptr<DeviceQuery>& query);
 
   // Round-composition hook for deterministic tests: while held, the device
@@ -225,12 +243,21 @@ class DeviceExecutor {
  private:
   friend struct DeviceQueue;
   struct WorkItem;
+  struct ItemOutcome;
 
   void DeviceLoop();
   // Pops the next round under WRR, holding the batch open for the window;
   // empty result = stopping and drained.
   std::vector<WorkItem> PopRound();
   void RunRound(std::vector<WorkItem> round);
+  // Matches one item on the calling thread into its own collector: the
+  // kernel, then the cycle model over its round trace. Takes no lock.
+  ItemOutcome MatchItem(const WorkItem& item) const;
+  // With claim_mu_ held by `lock`: claims the running round's next open item
+  // and matches it, unlocked meanwhile. False when no item is open.
+  bool ClaimAndMatch(std::unique_lock<util::ProfiledMutex>& lock);
+  // With claim_mu_ held: unlists waiters_[waiter] and wakes its FinishQuery.
+  void Wake(std::size_t waiter);
 
   const DeviceOptions options_;
 
@@ -245,6 +272,18 @@ class DeviceExecutor {
   std::size_t total_queued_ = 0;
   bool rounds_held_ = false;
   bool stopping_ = false;
+
+  // The running round's matching phase: its live items, claimed in round
+  // order by the device thread and by workers blocked in FinishQuery.
+  // Contention-profiled as "device_claim".
+  util::ProfiledMutex claim_mu_{"device_claim"};
+  std::condition_variable_any done_cv_;  // device: the last item matched
+  std::vector<DeviceQuery*> waiters_;    // sleeping in FinishQuery
+  std::vector<WorkItem>* open_round_ = nullptr;
+  std::vector<ItemOutcome>* open_outcomes_ = nullptr;
+  std::vector<std::size_t> open_items_;  // indices into *open_round_
+  std::size_t next_claim_ = 0;           // next open_items_ entry to claim
+  std::size_t unmatched_ = 0;            // open or claimed, not yet matched
 
   mutable std::mutex stats_mu_;
   DeviceStats stats_;
@@ -270,7 +309,8 @@ class DeviceExecutor {
 // replayed, batched with other requests' partitions into device rounds and
 // timed per round, and Drain blocks until the device has matched them all.
 // The device's FpgaConfig/variant replace options.fpga/options.variant, and
-// the embedding callback runs on the device thread. Wall spans:
+// the embedding callback is serialized per request but may run on the device
+// thread or on any worker waiting in Drain. Wall spans:
 // `device_wait` over partitioning, enqueueing and the wait, then
 // `reassembly` over the host share and composition. `queue` is borrowed
 // for the placement's lifetime.

@@ -247,9 +247,10 @@ void WireServer::HandleSubmit(const std::shared_ptr<Connection>& conn,
       (frame.header.flags & kFlagStreamEmbeddings) != 0 &&
       submit->store_limit > 0;
 
-  // Per-request streaming state; on_embedding and on_complete both run on
-  // the worker thread serving this request, so no lock beyond the
-  // connection's write_mu (taken inside SendFrame).
+  // Per-request streaming state. on_embedding calls are serialized per
+  // request but may run on the device thread or on any worker; on_complete
+  // runs on the worker serving this request after the last of them. So no
+  // lock beyond the connection's write_mu (taken inside SendFrame).
   struct Pending {
     std::shared_ptr<Connection> conn;
     std::uint64_t wire_id = 0;

@@ -68,9 +68,11 @@ struct RequestOptions {
   // Overrides the service-level default deadline when >= 0.
   double deadline_seconds = -1.0;
 
-  // Streaming per-embedding callback, invoked on the worker thread with the
-  // mapping in the submitted numbering. Must be thread-safe if the same
-  // callable is shared across requests.
+  // Streaming per-embedding callback, with the mapping in the submitted
+  // numbering. Calls are serialized per request, but in device mode they
+  // may run on the device thread or on any worker, not only the one serving
+  // the request. Must be thread-safe if the same callable is shared across
+  // requests.
   std::function<void(std::span<const VertexId>)> on_embedding;
 
   // Completion callback, invoked exactly once on the finishing worker thread

@@ -1,10 +1,12 @@
 // Tests for the shared device executor (src/device/): correctness of
 // device-routed matching vs the inline driver path, cross-query batch
 // coalescing and transfer dedup of shared partitions, WRR fairness between a
-// hot and a cold tenant's partition streams, mid-batch cancellation, and
-// shutdown.
+// hot and a cold tenant's partition streams, mid-batch cancellation,
+// shutdown, and matching one query's items on several threads: the result of
+// a lone run, and a callback that never runs twice at once.
 
 #include <atomic>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -15,6 +17,7 @@
 #include "cst/cst.h"
 #include "cst/partition.h"
 #include "device/device_executor.h"
+#include "ldbc/ldbc.h"
 #include "query/matching_order.h"
 #include "tests/test_util.h"
 #include "util/cancel.h"
@@ -88,8 +91,9 @@ TEST(DeviceExecutorTest, DeviceRoutedRunMatchesInlineDriver) {
 
   EXPECT_EQ(device_result->embeddings, BruteForceCount(q, g));
   EXPECT_EQ(device_result->embeddings, inline_result->embeddings);
-  EXPECT_EQ(testing::ToSet(device_result->sample_embeddings),
-            testing::ToSet(inline_result->sample_embeddings));
+  // Items fold into the query in partition order, whichever thread matched
+  // them, so the stored embeddings come out in the inline run's order.
+  EXPECT_EQ(device_result->sample_embeddings, inline_result->sample_embeddings);
   EXPECT_GE(device_result->fpga_partitions, 1u);
   EXPECT_GT(device_result->pcie_seconds, 0.0);
   EXPECT_GT(device_result->kernel_seconds, 0.0);
@@ -344,6 +348,128 @@ TEST(DeviceExecutorTest, ShutdownDrainsThenRejectsNewWork) {
             StatusCode::kFailedPrecondition);
   auto after = RunCstOnDevice(t0, plan.cst, plan.order, run);
   EXPECT_FALSE(after.ok());
+}
+
+// An LDBC query whose CST a 512-word budget splits into many partitions,
+// with the plan an inline miss records for it.
+struct SplitPlan {
+  QueryGraph q;
+  Graph g;
+  FastRunOptions run;
+  CompiledPlan compiled;
+};
+
+SplitPlan RecordSplitPlan(const DeviceOptions& opts) {
+  SplitPlan s{LdbcQuery(1).value(), testing::SmallLdbcGraph(), {}, {}};
+  s.run.fpga = opts.fpga;
+  s.run.partition.max_size_words = 512;
+  s.run.store_limit = 1u << 20;  // every embedding, in discovery order
+  s.compiled = RecordPlan(BuildPlan(s.q, s.g), s.run);
+  return s;
+}
+
+// One query's items match on several threads at once (the device thread and
+// the workers blocked in FinishQuery), yet each replay returns exactly what
+// a lone replay returns: counters, embeddings in order, and the simulated
+// kernel seconds summed in the same order.
+TEST(DeviceExecutorTest, ConcurrentReplaysMatchALoneRunExactly) {
+  DeviceOptions opts = SmallDeviceOptions();
+  opts.batch_window_seconds = 0;
+  opts.max_batch_items = 3;
+  const SplitPlan s = RecordSplitPlan(opts);
+  ASSERT_GT(s.compiled.fpga.size(), opts.max_batch_items);
+
+  const auto replay = [&](const std::shared_ptr<DeviceQueue>& queue) {
+    device::DevicePlacement placement(queue);
+    return RunFast(s.q, s.g, s.run, &placement, &s.compiled);
+  };
+  DeviceExecutor lone_device(opts);
+  const StatusOr<FastRunResult> lone = replay(lone_device.OpenQueue());
+  ASSERT_TRUE(lone.ok()) << lone.status();
+  ASSERT_GT(lone->embeddings, 0u);
+  ASSERT_EQ(lone->sample_embeddings.size(), lone->embeddings);
+
+  DeviceExecutor device(opts);
+  constexpr int kReplays = 3;
+  std::vector<StatusOr<FastRunResult>> results(kReplays,
+                                               Status::Internal("not run"));
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kReplays; ++i) {
+    threads.emplace_back([&, i, queue = device.OpenQueue()] {
+      results[i] = replay(queue);
+    });
+  }
+  for (auto& t : threads) t.join();
+
+  for (const StatusOr<FastRunResult>& r : results) {
+    ASSERT_TRUE(r.ok()) << r.status();
+    EXPECT_EQ(r->embeddings, lone->embeddings);
+    EXPECT_EQ(r->sample_embeddings, lone->sample_embeddings);
+    EXPECT_EQ(r->kernel_seconds, lone->kernel_seconds);  // bit-identical
+    EXPECT_EQ(r->fpga_partitions, lone->fpga_partitions);
+    EXPECT_EQ(r->counters.partial_results, lone->counters.partial_results);
+    EXPECT_EQ(r->counters.edge_tasks, lone->counters.edge_tasks);
+    EXPECT_EQ(r->counters.visited_tasks, lone->counters.visited_tasks);
+    EXPECT_EQ(r->counters.rounds, lone->counters.rounds);
+    EXPECT_EQ(r->counters.results, lone->counters.results);
+    EXPECT_EQ(r->counters.max_buffer_entries, lone->counters.max_buffer_entries);
+  }
+}
+
+// A query's embedding callback never runs on two threads at once, though its
+// items match on several: other submitters' threads claim its items while
+// they wait for their own.
+TEST(DeviceExecutorTest, EmbeddingCallbackIsSerializedPerQuery) {
+  DeviceOptions opts = SmallDeviceOptions();
+  opts.batch_window_seconds = 0;
+  opts.max_batch_items = 8;  // a round can hold all of a query's items
+  const SplitPlan s = RecordSplitPlan(opts);
+  ASSERT_GT(s.compiled.fpga.size(), 1u);
+  DeviceExecutor device(opts);
+
+  std::atomic<int> running{0};
+  std::atomic<int> max_running{0};
+  std::atomic<std::uint64_t> calls{0};
+  FastRunOptions watched = s.run;
+  watched.store_limit = 0;
+  watched.embedding_callback = [&](std::span<const VertexId>) {
+    const int now = running.fetch_add(1) + 1;
+    int seen = max_running.load();
+    while (now > seen && !max_running.compare_exchange_weak(seen, now)) {
+    }
+    std::this_thread::yield();  // widen the window an overlap would show in
+    running.fetch_sub(1);
+    calls.fetch_add(1);
+  };
+
+  std::atomic<bool> done{false};
+  std::atomic<int> load_failures{0};
+  std::vector<std::thread> load;
+  for (int i = 0; i < 2; ++i) {
+    load.emplace_back([&, queue = device.OpenQueue()] {
+      while (!done.load()) {
+        device::DevicePlacement placement(queue);
+        if (!RunFast(s.q, s.g, s.run, &placement, &s.compiled).ok()) {
+          load_failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  constexpr int kRuns = 4;
+  const auto queue = device.OpenQueue();
+  for (int i = 0; i < kRuns; ++i) {
+    device::DevicePlacement placement(queue);
+    const StatusOr<FastRunResult> r =
+        RunFast(s.q, s.g, watched, &placement, &s.compiled);
+    ASSERT_TRUE(r.ok()) << r.status();
+    EXPECT_EQ(r->embeddings, BruteForceCount(s.q, s.g));
+  }
+  done.store(true);
+  for (auto& t : load) t.join();
+
+  EXPECT_EQ(load_failures.load(), 0);
+  EXPECT_EQ(max_running.load(), 1);
+  EXPECT_EQ(calls.load(), kRuns * BruteForceCount(s.q, s.g));
 }
 
 // Many submitters hammering one executor: every query's counts must come out
