@@ -10,7 +10,6 @@
 #include "fpga/pipeline_sim.h"
 #include "obs/profiler.h"
 #include "util/logging.h"
-#include "util/timer.h"
 #include "util/wrr.h"
 
 namespace fast::device {
@@ -18,6 +17,9 @@ namespace fast::device {
 namespace {
 // Bound on the retained TimelineRound ring (~2k rounds of timeline history).
 constexpr std::size_t kRecentRoundsCapacity = 2048;
+// Rounds open at once: the next round transfers and starts matching while
+// the current one's last items finish (double buffering).
+constexpr std::size_t kRoundDepth = 2;
 }  // namespace
 
 // One query session: the queue it is scheduled on, the per-query sinks its
@@ -59,6 +61,28 @@ struct DeviceExecutor::ItemOutcome {
   KernelRunResult run;
   ResultCollector collector;
   double kernel_seconds = 0.0;
+};
+
+// One device round from opening to retirement: its items, the figures of its
+// transfer phase, and its matching phase. Owned by the device thread; the
+// claim fields are guarded by claim_mu_ once the round is published.
+struct DeviceExecutor::Round {
+  std::vector<WorkItem> items;
+  // A live item's outcome is written by its claimer; a skipped item's is
+  // DEADLINE_EXCEEDED from the opening.
+  std::vector<ItemOutcome> outcomes;
+  std::vector<std::size_t> contributed; // unique bytes each item transferred
+  std::uint64_t id = 0;                 // 1-based; 0 = no live item
+  double open_seconds = 0.0;            // ProcessUptimeSeconds at opening
+  std::uint64_t payload = 0;
+  std::uint64_t saved = 0;
+  std::uint64_t wire = 0;
+  double pcie_s = 0.0;
+  double overhead_share = 0.0;  // transaction bytes charged per live item
+
+  std::vector<std::size_t> open_items;  // live item indices, in claim order
+  std::size_t next_claim = 0;           // next open_items entry to claim
+  std::size_t unmatched = 0;            // live, not yet matched
 };
 
 // One fairness queue: its executor, and the pending items and WRR state
@@ -225,24 +249,62 @@ void DeviceExecutor::Shutdown() {
 
 void DeviceExecutor::DeviceLoop() {
   obs::Profiler::RegisterCurrentThread("device", obs::ThreadKind::kDevice);
+  std::deque<std::unique_ptr<Round>> unretired;  // oldest first
   while (true) {
-    std::vector<WorkItem> round;
-    {
-      FAST_PROF_STAGE("pop_round");
-      round = PopRound();
+    // Open rounds up to the depth. With none in flight, wait for one as
+    // before; otherwise take one only if a full round is already queued.
+    std::vector<Round*> opened;
+    while (unretired.size() < kRoundDepth) {
+      std::vector<WorkItem> items;
+      {
+        FAST_PROF_STAGE("pop_round");
+        items = PopRound(/*wait=*/unretired.empty());
+      }
+      if (items.empty()) break;
+      unretired.push_back(OpenRound(std::move(items)));
+      opened.push_back(unretired.back().get());
     }
-    if (round.empty()) return;  // stopping and drained
+    if (unretired.empty()) return;  // stopping and drained
+
     FAST_PROF_STAGE("round");
-    RunRound(std::move(round));
+    Round& oldest = *unretired.front();
+    {
+      std::unique_lock<util::ProfiledMutex> lock(claim_mu_);
+      std::size_t spare = 0;  // opened items the device thread leaves
+      for (Round* round : opened) {
+        if (round->open_items.empty()) continue;
+        open_.push_back(round);
+        spare += round->open_items.size();
+      }
+      // The device thread claims only the oldest round's items, so it is free
+      // to retire that round the moment its last item matches. It takes one
+      // of the just-opened items only if the oldest round is among them; wake
+      // one sleeper per other.
+      if (!opened.empty() && opened.front() == &oldest &&
+          !oldest.open_items.empty()) {
+        --spare;
+      }
+      for (; spare > 0 && !waiters_.empty(); --spare) {
+        Wake(waiters_.size() - 1);
+      }
+      while (ClaimAndMatch(lock, &oldest)) {
+      }
+      done_cv_.wait(lock, [&] { return oldest.unmatched == 0; });
+    }
+    RetireRound(oldest);
+    unretired.pop_front();
   }
 }
 
-std::vector<DeviceExecutor::WorkItem> DeviceExecutor::PopRound() {
+std::vector<DeviceExecutor::WorkItem> DeviceExecutor::PopRound(bool wait) {
   std::unique_lock<util::ProfiledMutex> lock(mu_);
+  const std::size_t max_batch = std::max<std::size_t>(1, options_.max_batch_items);
+  if (!wait && ((rounds_held_ && !stopping_) || total_queued_ < max_batch)) {
+    return {};
+  }
   cv_.wait(lock,
            [&] { return stopping_ || (!rounds_held_ && total_queued_ > 0); });
   if (total_queued_ == 0) return {};
-  const std::size_t max_batch = std::max<std::size_t>(1, options_.max_batch_items);
   // Hold the batch open for stragglers from other in-flight queries — this
   // window is what turns light concurrent load into >1 query per round.
   // Skipped when stopping: drain as fast as possible.
@@ -280,102 +342,87 @@ std::vector<DeviceExecutor::WorkItem> DeviceExecutor::PopRound() {
   return round;
 }
 
-void DeviceExecutor::RunRound(std::vector<WorkItem> round) {
-  const FpgaConfig& fpga = options_.fpga;
-  const double round_start = obs::ProcessUptimeSeconds();
-  Timer round_timer;
+std::unique_ptr<DeviceExecutor::Round> DeviceExecutor::OpenRound(
+    std::vector<WorkItem> items) {
+  auto round = std::make_unique<Round>();
+  Round& r = *round;
+  r.items = std::move(items);
+  r.open_seconds = obs::ProcessUptimeSeconds();
 
   // --- Mid-batch cancellation probe: an item whose token tripped (or whose
   // query already failed) is skipped before it costs any transfer bytes. ---
-  std::vector<bool> live(round.size(), false);
-  std::size_t n_live = 0;
-  for (std::size_t i = 0; i < round.size(); ++i) {
-    DeviceQuery& q = *round[i].query;
+  r.outcomes.resize(r.items.size());
+  for (std::size_t i = 0; i < r.items.size(); ++i) {
+    DeviceQuery& q = *r.items[i].query;
     bool query_ok;
     {
       std::lock_guard<std::mutex> qlock(q.mu);
       query_ok = q.result.status.ok();
     }
     if (query_ok && (q.cancel == nullptr || !q.cancel->Cancelled())) {
-      live[i] = true;
-      ++n_live;
+      r.open_items.push_back(i);
+    } else {
+      r.outcomes[i].status =
+          Status::DeadlineExceeded("device work item cancelled before matching");
     }
   }
+  const std::size_t n_live = r.open_items.size();
 
   // --- Transfer phase: ONE DMA transaction for the whole round. A partition
   // shared by several items (queries replaying one cached plan) crosses the
   // bus once; the duplicates ride free. A round holds at most max_batch
   // items, so a linear scan finds the duplicates. ---
-  std::uint64_t payload = 0;
-  std::uint64_t saved = 0;
-  std::vector<std::size_t> contributed(round.size(), 0);
+  r.contributed.assign(r.items.size(), 0);
   std::vector<const Cst*> sent;
-  sent.reserve(round.size());
-  for (std::size_t i = 0; i < round.size(); ++i) {
-    if (!live[i]) continue;
-    const Cst* cst = round[i].part.cst.get();
-    const std::size_t bytes = round[i].part.wire_bytes;
+  sent.reserve(n_live);
+  for (const std::size_t i : r.open_items) {
+    const Cst* cst = r.items[i].part.cst.get();
+    const std::size_t bytes = r.items[i].part.wire_bytes;
     if (std::find(sent.begin(), sent.end(), cst) == sent.end()) {
       sent.push_back(cst);
-      payload += bytes;
-      contributed[i] = bytes;
+      r.payload += bytes;
+      r.contributed[i] = bytes;
     } else {
-      saved += bytes;
+      r.saved += bytes;
     }
   }
-  std::uint64_t wire = 0;
-  double pcie_s = 0.0;
   if (n_live > 0) {
-    wire = payload + options_.transfer_overhead_bytes;
-    pcie_s = fpga.PcieSeconds(static_cast<double>(wire));
-  }
-  const double overhead_share =
-      n_live > 0 ? static_cast<double>(options_.transfer_overhead_bytes) /
-                       static_cast<double>(n_live)
-                 : 0.0;
-
-  const std::uint64_t round_id = n_live > 0 ? ++round_seq_ : round_seq_;
-
-  // --- Matching phase: the round's live items are open for claiming. The
-  // device thread and any worker blocked in FinishQuery match them, each item
-  // on one thread into its own collector. Outcomes are staged so the round's
-  // stats publish BEFORE any query is notified: a caller returning from
-  // FinishQuery must already see its rounds in stats(). ---
-  std::vector<ItemOutcome> outcomes(round.size());
-  {
-    std::unique_lock<util::ProfiledMutex> lock(claim_mu_);
-    open_round_ = &round;
-    open_outcomes_ = &outcomes;
-    for (std::size_t i = 0; i < round.size(); ++i) {
-      if (live[i]) open_items_.push_back(i);
-    }
-    unmatched_ = n_live;
-    // The device thread takes the first item; wake one sleeper per other.
-    for (std::size_t k = 1; k < n_live && !waiters_.empty(); ++k) {
-      Wake(waiters_.size() - 1);
-    }
-    while (ClaimAndMatch(lock)) {
-    }
-    done_cv_.wait(lock, [&] { return unmatched_ == 0; });
-    open_items_.clear();
-    next_claim_ = 0;
+    r.wire = r.payload + options_.transfer_overhead_bytes;
+    r.pcie_s = options_.fpga.PcieSeconds(static_cast<double>(r.wire));
+    r.overhead_share = static_cast<double>(options_.transfer_overhead_bytes) /
+                       static_cast<double>(n_live);
+    r.id = ++round_seq_;
   }
 
-  // Per-round sums add in round order, whichever thread matched an item.
+  // --- Matching phase, once published: the device thread and any worker
+  // blocked in FinishQuery claim the live items, each item on one thread
+  // into its own collector. Largest image first: matching time grows with
+  // the partition, so the round's slowest items start first instead of
+  // trailing it. Outcomes still fold in round order. ---
+  std::stable_sort(r.open_items.begin(), r.open_items.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return r.items[a].part.wire_bytes >
+                            r.items[b].part.wire_bytes;
+                   });
+  r.unmatched = n_live;
+  return round;
+}
+
+void DeviceExecutor::RetireRound(Round& round) {
+  // Outcomes were staged so the round's stats publish BEFORE any query is
+  // notified: a caller returning from FinishQuery must already see its rounds
+  // in stats(). Per-round sums add in round order, whichever thread matched
+  // an item.
   std::vector<const DeviceQuery*> round_queries;  // distinct, executed
   double round_kernel = 0.0;
   std::uint64_t executed = 0;
   std::uint64_t cancelled = 0;
   std::uint64_t failed = 0;
-  for (std::size_t i = 0; i < round.size(); ++i) {
-    ItemOutcome& out = outcomes[i];
-    if (!live[i]) {
-      out.status =
-          Status::DeadlineExceeded("device work item cancelled before matching");
-    }
+  for (std::size_t i = 0; i < round.items.size(); ++i) {
+    const ItemOutcome& out = round.outcomes[i];
     if (out.status.ok()) {
       ++executed;
-      const DeviceQuery* q = round[i].query.get();
+      const DeviceQuery* q = round.items[i].query.get();
       if (std::find(round_queries.begin(), round_queries.end(), q) ==
           round_queries.end()) {
         round_queries.push_back(q);
@@ -392,17 +439,22 @@ void DeviceExecutor::RunRound(std::vector<WorkItem> round) {
 
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
-    stats_.rounds = round_seq_;
-    if (n_live > 0) {
+    if (round.id > 0) {
+      stats_.rounds = round.id;
+      // Two rounds may be open at once, but the device track shows one span
+      // at a time: a round's span starts no earlier than the previous span's
+      // end, i.e. the previous round's retirement.
+      const double now = obs::ProcessUptimeSeconds();
       obs::TimelineRound tr;
-      tr.round = round_id;
-      tr.start_seconds = round_start;
-      tr.duration_seconds = round_timer.ElapsedSeconds();
-      tr.pcie_sim_seconds = pcie_s;
+      tr.round = round.id;
+      tr.start_seconds = std::max(round.open_seconds, last_span_end_);
+      tr.duration_seconds = now - tr.start_seconds;
+      last_span_end_ = now;
+      tr.pcie_sim_seconds = round.pcie_s;
       tr.kernel_sim_seconds = round_kernel;
       tr.items = executed;
       tr.queries = round_queries.size();
-      tr.wire_bytes = wire;
+      tr.wire_bytes = round.wire;
       recent_rounds_.push_back(tr);
       while (recent_rounds_.size() > kRecentRoundsCapacity) {
         recent_rounds_.pop_front();
@@ -411,9 +463,9 @@ void DeviceExecutor::RunRound(std::vector<WorkItem> round) {
     stats_.items += executed;
     stats_.cancelled_items += cancelled;
     stats_.failed_items += failed;
-    stats_.payload_bytes += payload;
-    stats_.wire_bytes += wire;
-    stats_.dedup_bytes_saved += saved;
+    stats_.payload_bytes += round.payload;
+    stats_.wire_bytes += round.wire;
+    stats_.dedup_bytes_saved += round.saved;
     if (executed > 0) {
       stats_.sum_round_queries += round_queries.size();
       stats_.max_items_per_round =
@@ -421,20 +473,20 @@ void DeviceExecutor::RunRound(std::vector<WorkItem> round) {
       stats_.max_queries_per_round = std::max<std::uint64_t>(
           stats_.max_queries_per_round, round_queries.size());
     }
-    stats_.pcie_seconds += pcie_s;
+    stats_.pcie_seconds += round.pcie_s;
     stats_.kernel_seconds += round_kernel;
   }
 
   // Mirror the round into the process-wide registry (relaxed atomics; no
   // lock shared with the stats block above).
   if (items_counter_ != nullptr) {
-    if (n_live > 0) rounds_counter_->Increment();
+    if (round.id > 0) rounds_counter_->Increment();
     items_counter_->Increment(executed);
     cancelled_counter_->Increment(cancelled);
     failed_counter_->Increment(failed);
-    payload_bytes_counter_->Increment(payload);
-    wire_bytes_counter_->Increment(wire);
-    dedup_saved_counter_->Increment(saved);
+    payload_bytes_counter_->Increment(round.payload);
+    wire_bytes_counter_->Increment(round.wire);
+    dedup_saved_counter_->Increment(round.saved);
     occupancy_gauge_->Set(
         static_cast<double>(executed) /
         static_cast<double>(std::max<std::size_t>(1, options_.max_batch_items)));
@@ -444,32 +496,34 @@ void DeviceExecutor::RunRound(std::vector<WorkItem> round) {
   // wake the waiters once a query has no items left. ---
   FAST_PROF_STAGE("reassembly");
   std::vector<DeviceQuery*> finished;
-  for (std::size_t i = 0; i < round.size(); ++i) {
-    DeviceQuery& q = *round[i].query;
-    ItemOutcome& out = outcomes[i];
+  for (std::size_t i = 0; i < round.items.size(); ++i) {
+    DeviceQuery& q = *round.items[i].query;
+    ItemOutcome& out = round.outcomes[i];
     const double pcie_share =
-        wire > 0 && out.status.ok()
-            ? pcie_s *
-                  ((static_cast<double>(contributed[i]) + overhead_share) /
-                   static_cast<double>(wire))
+        round.wire > 0 && out.status.ok()
+            ? round.pcie_s *
+                  ((static_cast<double>(round.contributed[i]) +
+                    round.overhead_share) /
+                   static_cast<double>(round.wire))
             : 0.0;
     {
       std::lock_guard<std::mutex> qlock(q.mu);
+      // First failure wins. A failed query's later items were skipped at
+      // their round's opening, or, if that round opened before the failure
+      // was folded, matched and are dropped here.
       if (!out.status.ok()) {
-        // First failure wins; an already-failed query's later items were
-        // skipped above and keep the original status.
         if (q.result.status.ok()) q.result.status = std::move(out.status);
-      } else {
+      } else if (q.result.status.ok()) {
         if (q.collector != nullptr) q.collector->Merge(out.collector);
         q.result.counters += out.run.counters;
         q.result.embeddings += out.run.embeddings;
         q.result.kernel_seconds += out.kernel_seconds;
         q.result.pcie_seconds += pcie_share;
-        q.result.dma_bytes += contributed[i] +
-                              static_cast<std::uint64_t>(overhead_share);
+        q.result.dma_bytes += round.contributed[i] +
+                              static_cast<std::uint64_t>(round.overhead_share);
         ++q.result.items;
-        if (q.result.first_round == 0) q.result.first_round = round_id;
-        q.result.last_round = round_id;
+        if (q.result.first_round == 0) q.result.first_round = round.id;
+        q.result.last_round = round.id;
       }
       if (--q.outstanding == 0) finished.push_back(&q);
     }
@@ -534,15 +588,16 @@ DeviceExecutor::ItemOutcome DeviceExecutor::MatchItem(const WorkItem& item) cons
   return out;
 }
 
-bool DeviceExecutor::ClaimAndMatch(std::unique_lock<util::ProfiledMutex>& lock) {
-  if (next_claim_ == open_items_.size()) return false;
-  const std::size_t i = open_items_[next_claim_++];
-  const WorkItem& item = (*open_round_)[i];
-  ItemOutcome& out = (*open_outcomes_)[i];
+bool DeviceExecutor::ClaimAndMatch(std::unique_lock<util::ProfiledMutex>& lock,
+                                   const Round* only) {
+  if (open_.empty() || (only != nullptr && open_.front() != only)) return false;
+  Round& round = *open_.front();
+  const std::size_t i = round.open_items[round.next_claim++];
+  if (round.next_claim == round.open_items.size()) open_.pop_front();
   lock.unlock();
-  out = MatchItem(item);
+  round.outcomes[i] = MatchItem(round.items[i]);
   lock.lock();
-  if (--unmatched_ == 0) done_cv_.notify_one();
+  if (--round.unmatched == 0) done_cv_.notify_one();
   return true;
 }
 
@@ -571,9 +626,10 @@ DevicePlacement::DevicePlacement(const std::shared_ptr<DeviceQueue>& queue)
 void DevicePlacement::Begin(const MatchingOrder& order,
                             ResultCollector* collector,
                             const CancelToken* cancel, FastRunResult* result) {
-  // The collector lives on the pipeline's stack; only the device thread
-  // touches it between here and FinishQuery, which synchronizes the handoff
-  // back.
+  // The collector lives on the pipeline's stack. Until FinishQuery, the
+  // device thread merges retired items into it and its callback runs, one
+  // call at a time, on whichever thread matches an item; FinishQuery
+  // synchronizes the handoff back.
   session_ = device_.BeginQuery(queue_, order, collector, cancel);
   result_ = result;
 }

@@ -50,19 +50,22 @@
 // deadline aborts inside a device round exactly like the CPU path.
 //
 // Threading: one device thread (the simulated card) forms, transfers and
-// times rounds sequentially; any number of workers submit concurrently.
-// A round's items are independent search spaces, so their matching is
-// claimable work: once the transfer phase is done, the device thread and
-// the workers blocked in FinishQuery (one woken per item past the first)
-// claim the round's items one at a time and match them, each into its own
-// collector, with no lock held. The
-// device thread waits for the last item, then publishes the round's stats
-// and folds the items into their queries in round order, so every
-// simulated sum and every query's stored embeddings come out as if one
-// thread had matched the round. A query's embedding callback is serialized
-// by a per-query mutex but may run on the device thread or on any worker.
-// The device thread alone can drain every round, so no worker is needed
-// for progress. EnqueuePartition applies back-pressure (blocks) past
+// retires rounds; any number of workers submit concurrently. A round's items
+// are independent search spaces, so their matching is claimable work: once a
+// round's transfer phase is done, the device thread and the workers blocked
+// in FinishQuery claim open items one at a time (oldest round first, largest
+// partition first within a round) and match each into its own collector with
+// no lock held. Up to two rounds are open at once (double buffering): while
+// the older one's last items match, the next full round is already
+// transferred and claimable by the workers. The device thread claims only
+// the older round's items, so it retires that round as soon as its last item
+// matches. Rounds retire in round order on the device thread, which publishes
+// each round's stats and then folds its items into their queries, so every
+// simulated sum and every query's stored embeddings come out as if one thread
+// had matched the rounds one after another. A query's embedding callback is
+// serialized by a per-query mutex but may run on the device thread or on any
+// worker. The device thread alone can drain every round, so no worker is
+// needed for progress. EnqueuePartition applies back-pressure (blocks) past
 // `max_queued_items`. Shutdown drains all queued items, so FinishQuery never
 // deadlocks; owners must stop submitting workers before shutting the
 // executor down.
@@ -211,17 +214,19 @@ class DeviceExecutor {
                           CompiledPartition part);
 
   // Blocks until every enqueued partition of `query` has been matched (or
-  // skipped by cancellation) and returns the aggregate. While it waits, the
-  // calling thread matches open items of any query's round; it sleeps until
-  // a round opens with an item to spare or `query` finishes. Call once,
-  // after the last EnqueuePartition.
+  // skipped by cancellation) and its rounds retired, and returns the
+  // aggregate. While it waits, the calling thread matches open items of any
+  // query's rounds, oldest round first; it sleeps until a round opens with
+  // an item to spare or `query` finishes. Call once, after the last
+  // EnqueuePartition.
   DeviceQueryResult FinishQuery(const std::shared_ptr<DeviceQuery>& query);
 
   // Round-composition hook for deterministic tests: while held, the device
   // thread forms no new round, so every item enqueued before ReleaseRounds
-  // is visible to the first round formed after it. Shutdown overrides a
-  // hold. EnqueuePartition still blocks past max_queued_items, so a holder
-  // must not enqueue more than that.
+  // is visible to the first round formed after it. Rounds are numbered, and
+  // retire, in the order they are formed, with up to two open at once.
+  // Shutdown overrides a hold. EnqueuePartition still blocks past
+  // max_queued_items, so a holder must not enqueue more than that.
   void HoldRounds();
   void ReleaseRounds();
 
@@ -236,26 +241,36 @@ class DeviceExecutor {
   std::size_t queue_depth() const;
 
   // Oldest-first ring of recent rounds on the ProcessUptimeSeconds axis —
-  // the timeline exporter's synthetic "device" track. Bounded (oldest
-  // evicted); only rounds with at least one live item are retained.
+  // the timeline exporter's synthetic "device" track; spans never overlap
+  // (see obs::TimelineRound). Bounded (oldest evicted); only rounds with at
+  // least one live item are retained.
   std::vector<obs::TimelineRound> recent_rounds() const;
 
  private:
   friend struct DeviceQueue;
   struct WorkItem;
   struct ItemOutcome;
+  struct Round;
 
   void DeviceLoop();
-  // Pops the next round under WRR, holding the batch open for the window;
-  // empty result = stopping and drained.
-  std::vector<WorkItem> PopRound();
-  void RunRound(std::vector<WorkItem> round);
+  // Pops the next round under WRR. With `wait`, blocks for work and holds a
+  // non-full batch open for the window; empty result = stopping and drained.
+  // Without, returns a round only if a full one is queued (else empty).
+  std::vector<WorkItem> PopRound(bool wait);
+  // Runs a popped round's cancellation probe and transfer phase and numbers
+  // it; the caller publishes its live items for claiming.
+  std::unique_ptr<Round> OpenRound(std::vector<WorkItem> items);
+  // Once every live item has matched: publishes the round's stats, then folds
+  // its items into their queries in round order. Device thread only.
+  void RetireRound(Round& round);
   // Matches one item on the calling thread into its own collector: the
   // kernel, then the cycle model over its round trace. Takes no lock.
   ItemOutcome MatchItem(const WorkItem& item) const;
-  // With claim_mu_ held by `lock`: claims the running round's next open item
-  // and matches it, unlocked meanwhile. False when no item is open.
-  bool ClaimAndMatch(std::unique_lock<util::ProfiledMutex>& lock);
+  // With claim_mu_ held by `lock`: claims the oldest open round's next item
+  // and matches it, unlocked meanwhile. False when no item is open, or when
+  // `only` is set and the oldest open round is another.
+  bool ClaimAndMatch(std::unique_lock<util::ProfiledMutex>& lock,
+                     const Round* only = nullptr);
   // With claim_mu_ held: unlists waiters_[waiter] and wakes its FinishQuery.
   void Wake(std::size_t waiter);
 
@@ -273,22 +288,19 @@ class DeviceExecutor {
   bool rounds_held_ = false;
   bool stopping_ = false;
 
-  // The running round's matching phase: its live items, claimed in round
-  // order by the device thread and by workers blocked in FinishQuery.
-  // Contention-profiled as "device_claim".
+  // The open rounds' matching phase: rounds with an unclaimed item, oldest
+  // first, claimed by the device thread and by workers blocked in
+  // FinishQuery. Contention-profiled as "device_claim".
   util::ProfiledMutex claim_mu_{"device_claim"};
-  std::condition_variable_any done_cv_;  // device: the last item matched
+  std::condition_variable_any done_cv_;  // device: a round's last item matched
   std::vector<DeviceQuery*> waiters_;    // sleeping in FinishQuery
-  std::vector<WorkItem>* open_round_ = nullptr;
-  std::vector<ItemOutcome>* open_outcomes_ = nullptr;
-  std::vector<std::size_t> open_items_;  // indices into *open_round_
-  std::size_t next_claim_ = 0;           // next open_items_ entry to claim
-  std::size_t unmatched_ = 0;            // open or claimed, not yet matched
+  std::deque<Round*> open_;
 
   mutable std::mutex stats_mu_;
   DeviceStats stats_;
   std::deque<obs::TimelineRound> recent_rounds_;  // guarded by stats_mu_
-  std::uint64_t round_seq_ = 0;  // device thread only
+  std::uint64_t round_seq_ = 0;     // device thread only
+  double last_span_end_ = 0.0;      // device thread only: timeline span end
 
   // Registry metrics bound once at construction (null without a registry).
   obs::Counter* rounds_counter_ = nullptr;

@@ -99,8 +99,12 @@ std::string ProfileToJson(const ProfileSnapshot& snap);
 // retains a bounded ring of these; see DeviceExecutor::recent_rounds).
 struct TimelineRound {
   std::uint64_t round = 0;          // 1-based round sequence number
-  double start_seconds = 0.0;       // ProcessUptimeSeconds at round start
-  double duration_seconds = 0.0;    // host wall time executing the round
+  // The round's span on the ProcessUptimeSeconds axis. The device may have
+  // two rounds open at once, but spans never overlap: a span starts at the
+  // later of its round's opening and the previous round's retirement, and
+  // ends at its own retirement.
+  double start_seconds = 0.0;
+  double duration_seconds = 0.0;
   double pcie_sim_seconds = 0.0;    // simulated transfer time
   double kernel_sim_seconds = 0.0;  // simulated kernel time, summed over items
   std::uint64_t items = 0;

@@ -2,10 +2,15 @@
 // device-routed matching vs the inline driver path, cross-query batch
 // coalescing and transfer dedup of shared partitions, WRR fairness between a
 // hot and a cold tenant's partition streams, mid-batch cancellation,
-// shutdown, and matching one query's items on several threads: the result of
-// a lone run, and a callback that never runs twice at once.
+// shutdown, matching one query's items on several threads (the result of a
+// lone run, and a callback that never runs twice at once), and two rounds open
+// at once: the next round matches while one is still matching, yet rounds
+// retire, and show on the timeline, one after another.
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <span>
 #include <string>
 #include <thread>
@@ -470,6 +475,114 @@ TEST(DeviceExecutorTest, EmbeddingCallbackIsSerializedPerQuery) {
   EXPECT_EQ(load_failures.load(), 0);
   EXPECT_EQ(max_running.load(), 1);
   EXPECT_EQ(calls.load(), kRuns * BruteForceCount(s.q, s.g));
+}
+
+// Up to two rounds are open at once: while query A's one-item round is
+// stuck in A's callback, query B's round opens and a worker waiting in
+// FinishQuery matches it. The rounds still retire, and number, in order.
+TEST(DeviceExecutorTest, NextRoundMatchesWhileARoundIsStillMatching) {
+  const Graph g = PaperDataGraph();
+  const QueryGraph q = PaperQuery();
+  const Plan plan = BuildPlan(q, g);
+
+  DeviceOptions opts = SmallDeviceOptions();
+  opts.batch_window_seconds = 0;
+  opts.max_batch_items = 1;  // one round per item
+  DeviceExecutor device(opts);
+
+  std::mutex mu;
+  std::condition_variable cv;
+  bool a_matching = false;
+  bool b_matched = false;
+  bool release_a = false;
+  ResultCollector a_collector;
+  a_collector.SetCallback([&](std::span<const VertexId>) {
+    std::unique_lock<std::mutex> lock(mu);
+    a_matching = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return release_a; });
+  });
+  ResultCollector b_collector;
+  b_collector.SetCallback([&](std::span<const VertexId>) {
+    std::lock_guard<std::mutex> lock(mu);
+    b_matched = true;
+    cv.notify_all();
+  });
+
+  const auto queue = device.OpenQueue();
+  device.HoldRounds();
+  auto a = device.BeginQuery(queue, plan.order, &a_collector, nullptr);
+  auto b = device.BeginQuery(queue, plan.order, &b_collector, nullptr);
+  ASSERT_TRUE(device.EnqueuePartition(a, CompilePartition(plan.cst)).ok());
+  ASSERT_TRUE(device.EnqueuePartition(b, CompilePartition(plan.cst)).ok());
+  device.ReleaseRounds();
+  DeviceQueryResult a_r;
+  DeviceQueryResult b_r;
+  std::thread a_thread([&] { a_r = device.FinishQuery(a); });
+  std::thread b_thread([&] { b_r = device.FinishQuery(b); });
+  {
+    // Bounded, so a device that holds B's round back fails instead of hanging.
+    std::unique_lock<std::mutex> lock(mu);
+    EXPECT_TRUE(cv.wait_for(lock, std::chrono::seconds(10),
+                            [&] { return a_matching && b_matched; }))
+        << "A matching: " << a_matching << ", B matched: " << b_matched;
+    release_a = true;
+  }
+  cv.notify_all();
+  a_thread.join();
+  b_thread.join();
+
+  ASSERT_TRUE(a_r.status.ok());
+  ASSERT_TRUE(b_r.status.ok());
+  EXPECT_EQ(a_r.embeddings, BruteForceCount(q, g));
+  EXPECT_EQ(b_r.embeddings, BruteForceCount(q, g));
+  EXPECT_EQ(a_r.first_round, 1u);
+  EXPECT_EQ(b_r.first_round, 2u);
+  EXPECT_EQ(device.stats().rounds, 2u);
+}
+
+// Rounds overlap on the device, but the timeline's device track does not:
+// its spans come in round order, one after another, so their summed
+// duration over a window stays a share of it.
+TEST(DeviceExecutorTest, TimelineRoundsAreOrderedAndDisjoint) {
+  DeviceOptions opts = SmallDeviceOptions();
+  opts.batch_window_seconds = 0;
+  opts.max_batch_items = 1;  // each replay queues several full rounds
+  const SplitPlan s = RecordSplitPlan(opts);
+  ASSERT_GT(s.compiled.fpga.size(), 1u);
+  DeviceExecutor device(opts);
+
+  constexpr int kThreads = 3;
+  constexpr int kReplaysPerThread = 3;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> submitters;
+  for (int t = 0; t < kThreads; ++t) {
+    submitters.emplace_back([&, queue = device.OpenQueue()] {
+      for (int i = 0; i < kReplaysPerThread; ++i) {
+        device::DevicePlacement placement(queue);
+        const StatusOr<FastRunResult> r =
+            RunFast(s.q, s.g, s.run, &placement, &s.compiled);
+        if (!r.ok() || r->embeddings != BruteForceCount(s.q, s.g)) {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& t : submitters) t.join();
+  EXPECT_EQ(failures.load(), 0);
+
+  const std::vector<obs::TimelineRound> rounds = device.recent_rounds();
+  ASSERT_EQ(rounds.size(), device.stats().rounds);
+  for (std::size_t i = 0; i < rounds.size(); ++i) {
+    EXPECT_EQ(rounds[i].round, i + 1);
+    EXPECT_GE(rounds[i].duration_seconds, 0.0);
+    if (i == 0) continue;
+    const double prev_end =
+        rounds[i - 1].start_seconds + rounds[i - 1].duration_seconds;
+    EXPECT_GE(rounds[i].start_seconds, prev_end - 1e-9)  // 1 ns of rounding
+        << "round " << rounds[i].round << " starts before round "
+        << rounds[i - 1].round << " ends";
+  }
 }
 
 // Many submitters hammering one executor: every query's counts must come out

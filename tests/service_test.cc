@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <set>
 #include <thread>
@@ -458,6 +459,78 @@ void ReleaseAfter(double seconds, const Timer& since,
   release.store(true);
 }
 
+// 30 disjoint A-B-C triangles; with N_o = 4 the kernel needs many Generator
+// rounds, so there is always a round boundary — and therefore a cancellation
+// probe — after the first embedding.
+Graph DisjointTriangles() {
+  GraphBuilder b;
+  for (VertexId i = 0; i < 30; ++i) {
+    const VertexId base = 3 * i;
+    b.AddVertex(0);
+    b.AddVertex(1);
+    b.AddVertex(2);
+    FAST_CHECK_OK(b.AddEdge(base, base + 1));
+    FAST_CHECK_OK(b.AddEdge(base, base + 2));
+    FAST_CHECK_OK(b.AddEdge(base + 1, base + 2));
+  }
+  return std::move(b).Build().value();
+}
+
+// One request whose 50 ms deadline is burnt inside its run, on a service of
+// its own, and what its callbacks saw.
+struct MidRunDeadline {
+  std::atomic<int> seen{0};
+  std::atomic<bool> started{false};
+  std::atomic<bool> release{false};
+  std::atomic<bool> done{false};
+  service::RequestResult result;  // valid once `done`
+  std::unique_ptr<MatchService> svc;  // last member: stops its workers first
+};
+
+// Submits TriangleQuery on DisjointTriangles under `options` with a 50 ms
+// deadline; its first embedding callback holds the run until the deadline
+// has passed, and the request's completion fills `result`. A deadline can
+// trip before the first embedding on a loaded host (while queued, or at the
+// device's pre-transfer probe), leaving nothing to hold, so the wait for the
+// first embedding is bounded by the request's completion, and such an
+// attempt is retried on a fresh service, a bounded number of times.
+std::unique_ptr<MidRunDeadline> RunWithMidRunDeadline(
+    const ServiceOptions& options) {
+  constexpr int kAttempts = 5;
+  for (int attempt = 1;; ++attempt) {
+    auto run = std::make_unique<MidRunDeadline>();
+    run->svc = std::make_unique<MatchService>(DisjointTriangles(), options);
+    RequestOptions opts;
+    opts.deadline_seconds = 0.05;
+    opts.on_embedding = [r = run.get()](std::span<const VertexId>) {
+      // Burn through the deadline inside the run; dispatch happened long
+      // before it expired, so only mid-run enforcement can reject this.
+      if (r->seen.fetch_add(1) == 0) {
+        r->started.store(true);
+        while (!r->release.load()) std::this_thread::yield();
+      }
+    };
+    opts.on_complete = [r = run.get()](std::uint64_t,
+                                       const service::RequestResult& result) {
+      r->result = result;
+      r->done.store(true);
+    };
+    if (!run->svc->Submit(TriangleQuery(), opts).ok()) {
+      ADD_FAILURE() << "Submit failed";
+      return nullptr;
+    }
+    while (!run->started.load() && !run->done.load()) {
+      std::this_thread::yield();
+    }
+    if (!run->started.load() && attempt < kAttempts) continue;
+    // The run armed its deadline before the first embedding, so a timer
+    // started after that embedding outlasts it.
+    ReleaseAfter(opts.deadline_seconds, Timer(), run->release);
+    while (!run->done.load()) std::this_thread::yield();
+    return run;
+  }
+}
+
 TEST(MatchServiceTest, DeadlinePassedInQueueRejects) {
   const Graph g = PaperDataGraph();
   ServiceOptions options = SmallServiceOptions(1);
@@ -490,55 +563,22 @@ TEST(MatchServiceTest, DeadlinePassedInQueueRejects) {
 }
 
 TEST(MatchServiceTest, DeadlineExpiringMidRunAbortsMatching) {
-  // 30 disjoint A-B-C triangles; with N_o = 4 the kernel needs many
-  // Generator rounds, so there is always a round boundary — and therefore a
-  // cancellation probe — after the sleeping embedding callback below.
-  GraphBuilder b;
-  for (VertexId i = 0; i < 30; ++i) {
-    const VertexId base = 3 * i;
-    b.AddVertex(0);
-    b.AddVertex(1);
-    b.AddVertex(2);
-    FAST_CHECK_OK(b.AddEdge(base, base + 1));
-    FAST_CHECK_OK(b.AddEdge(base, base + 2));
-    FAST_CHECK_OK(b.AddEdge(base + 1, base + 2));
-  }
   ServiceOptions options = SmallServiceOptions(1);
   options.run.fpga.max_new_partials = 4;
-  MatchService svc(std::move(b).Build().value(), options);
-
-  std::atomic<int> seen{0};
-  std::atomic<bool> started{false};
-  std::atomic<bool> release{false};
-  RequestOptions opts;
-  opts.deadline_seconds = 0.05;
-  opts.on_embedding = [&](std::span<const VertexId>) {
-    // Burn through the deadline inside the run; dispatch happened long
-    // before it expired, so only mid-run enforcement can reject this.
-    if (seen.fetch_add(1) == 0) {
-      started.store(true);
-      while (!release.load()) std::this_thread::yield();
-    }
-  };
-  auto r = svc.Submit(TriangleQuery(), opts);
-  ASSERT_TRUE(r.ok());
-  // The run armed its deadline before the first embedding, so a timer
-  // started after that embedding outlasts it.
-  while (!started.load()) std::this_thread::yield();
-  ReleaseAfter(opts.deadline_seconds, Timer(), release);
-  auto result = svc.Wait(*r);
-  EXPECT_EQ(result->status.code(), StatusCode::kDeadlineExceeded);
+  const std::unique_ptr<MidRunDeadline> run = RunWithMidRunDeadline(options);
+  ASSERT_NE(run, nullptr);
+  EXPECT_EQ(run->result.status.code(), StatusCode::kDeadlineExceeded);
   // Dispatched (epoch captured), then aborted mid-run — not a queue reject.
-  EXPECT_GT(result->graph_epoch, 0u);
-  EXPECT_GT(seen.load(), 0);
-  EXPECT_LT(seen.load(), 30);  // the run did not finish all 30 triangles
-  const auto stats = svc.stats();
+  EXPECT_GT(run->result.graph_epoch, 0u);
+  EXPECT_GT(run->seen.load(), 0);
+  EXPECT_LT(run->seen.load(), 30);  // the run did not finish all 30 triangles
+  const auto stats = run->svc->stats();
   EXPECT_EQ(stats.cancelled_midrun, 1u);
   EXPECT_EQ(stats.rejected_deadline, 0u);
   EXPECT_EQ(stats.completed, 0u);
 
   // The same query without a deadline completes and finds all 30.
-  auto ok = svc.SubmitAndWait(TriangleQuery());
+  auto ok = run->svc->SubmitAndWait(TriangleQuery());
   ASSERT_TRUE(ok.ok());
   EXPECT_EQ(ok->run.embeddings, 30u);
 }
@@ -648,47 +688,21 @@ TEST(MatchServiceTest, DeviceModeDeadlineExpiringMidRunAborts) {
   // probed inside the shared device round (kernel loop and pipeline
   // simulation), so a deadline burnt inside the run still cancels, and the
   // service still reports it as cancelled_midrun.
-  GraphBuilder b;
-  for (VertexId i = 0; i < 30; ++i) {
-    const VertexId base = 3 * i;
-    b.AddVertex(0);
-    b.AddVertex(1);
-    b.AddVertex(2);
-    FAST_CHECK_OK(b.AddEdge(base, base + 1));
-    FAST_CHECK_OK(b.AddEdge(base, base + 2));
-    FAST_CHECK_OK(b.AddEdge(base + 1, base + 2));
-  }
   ServiceOptions options = DeviceServiceOptions(1);
   options.run.fpga.max_new_partials = 4;
-  MatchService svc(std::move(b).Build().value(), options);
-
-  std::atomic<int> seen{0};
-  std::atomic<bool> started{false};
-  std::atomic<bool> release{false};
-  RequestOptions opts;
-  opts.deadline_seconds = 0.05;
-  opts.on_embedding = [&](std::span<const VertexId>) {
-    if (seen.fetch_add(1) == 0) {
-      started.store(true);
-      while (!release.load()) std::this_thread::yield();
-    }
-  };
-  auto r = svc.Submit(TriangleQuery(), opts);
-  ASSERT_TRUE(r.ok());
-  while (!started.load()) std::this_thread::yield();
-  ReleaseAfter(opts.deadline_seconds, Timer(), release);
-  auto result = svc.Wait(*r);
-  EXPECT_EQ(result->status.code(), StatusCode::kDeadlineExceeded);
-  EXPECT_GT(result->graph_epoch, 0u);  // aborted mid-run, not while queued
-  EXPECT_GT(seen.load(), 0);
-  EXPECT_LT(seen.load(), 30);
-  const auto stats = svc.stats();
+  const std::unique_ptr<MidRunDeadline> run = RunWithMidRunDeadline(options);
+  ASSERT_NE(run, nullptr);
+  EXPECT_EQ(run->result.status.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_GT(run->result.graph_epoch, 0u);  // aborted mid-run, not while queued
+  EXPECT_GT(run->seen.load(), 0);
+  EXPECT_LT(run->seen.load(), 30);
+  const auto stats = run->svc->stats();
   EXPECT_EQ(stats.cancelled_midrun, 1u);
   EXPECT_EQ(stats.completed, 0u);
   EXPECT_GE(stats.device.cancelled_items, 1u);
 
   // The same query without a deadline completes on the device path.
-  auto ok = svc.SubmitAndWait(TriangleQuery());
+  auto ok = run->svc->SubmitAndWait(TriangleQuery());
   ASSERT_TRUE(ok.ok());
   EXPECT_EQ(ok->run.embeddings, 30u);
 }
