@@ -261,6 +261,7 @@ void DeviceExecutor::DeviceLoop() {
         items = PopRound(/*wait=*/unretired.empty());
       }
       if (items.empty()) break;
+      FAST_PROF_STAGE("round");
       unretired.push_back(OpenRound(std::move(items)));
       opened.push_back(unretired.back().get());
     }
