@@ -11,11 +11,13 @@
 //                [--min-swaps 10] [--json FILE]
 //
 // A baseline phase with no writer runs first, so the printed comparison
-// shows what snapshot churn costs. Plain binary (no google-benchmark), in
-// the style of bench_service.
+// shows what snapshot churn costs, and the writer's own ApplyDelta latency
+// (p50/p99 over its timed calls) shows what one update costs. Plain binary
+// (no google-benchmark), in the style of bench_service.
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -49,12 +51,24 @@ struct PhaseResult {
   bool writer_failed = false;  // a swap errored and the writer stopped early
   // Completed-query counts per inter-swap window (writer phase only).
   std::vector<std::uint64_t> window_completions;
+  // Wall time of each svc.ApplyDelta call, in ms (writer phase only).
+  std::vector<double> update_ms;
 
   std::uint64_t MinWindow() const {
     return window_completions.empty()
                ? 0
                : *std::min_element(window_completions.begin(),
                                    window_completions.end());
+  }
+
+  // Nearest-rank quantile of update_ms; 0 when no update ran.
+  double UpdateMs(double q) const {
+    if (update_ms.empty()) return 0.0;
+    std::vector<double> sorted = update_ms;
+    std::sort(sorted.begin(), sorted.end());
+    const auto rank = static_cast<std::size_t>(
+        std::ceil(q * static_cast<double>(sorted.size())));
+    return sorted[std::max<std::size_t>(rank, 1) - 1];
   }
 };
 
@@ -107,7 +121,9 @@ PhaseResult RunPhase(const Graph& graph, const std::vector<QueryGraph>& mix,
         if (stop.load(std::memory_order_relaxed)) break;
         const GraphDelta delta =
             RandomChurnDelta(*svc.snapshot().graph, churn, rng);
+        Timer update;
         auto epoch = svc.ApplyDelta(delta);
+        r.update_ms.push_back(update.ElapsedSeconds() * 1e3);
         if (!epoch.ok()) {
           std::fprintf(stderr, "swap: %s\n", epoch.status().ToString().c_str());
           writer_failed.store(true);
@@ -166,6 +182,9 @@ void WriteJson(const std::string& path, double sf, std::size_t clients,
   w.Field("swaps", churned.swaps);
   w.Field("min_window_completions", churned.MinWindow());
   w.Field("cache_invalidations", churned.cache_invalidations);
+  w.Field("updates", static_cast<std::uint64_t>(churned.update_ms.size()));
+  w.Field("update_p50_ms", churned.UpdateMs(0.50));
+  w.Field("update_p99_ms", churned.UpdateMs(0.99));
   w.EndObject();
   w.Field("qps_ratio", steady.qps > 0 ? churned.qps / steady.qps : 0.0);
   bench::EmbedBuildInfo(w);
@@ -238,15 +257,16 @@ int Run(int argc, char** argv) {
   const PhaseResult churned = RunPhase(*graph, mix, workers, clients, duration,
                                        swap_every_ms, churn, &registry);
 
-  std::printf("%-12s %12s %10s %10s %10s %12s %8s %12s\n", "phase",
+  std::printf("%-12s %12s %10s %10s %10s %12s %8s %12s %12s %12s\n", "phase",
               "queries/sec", "p50 ms", "p99 ms", "hit rate", "completed",
-              "swaps", "min window");
+              "swaps", "min window", "upd p50 ms", "upd p99 ms");
   auto row = [](const char* name, const PhaseResult& r) {
-    std::printf("%-12s %12.1f %10.3f %10.3f %9.1f%% %12llu %8llu %12llu\n", name,
-                r.qps, r.p50_ms, r.p99_ms, r.hit_rate * 100.0,
+    std::printf("%-12s %12.1f %10.3f %10.3f %9.1f%% %12llu %8llu %12llu %12.3f %12.3f\n",
+                name, r.qps, r.p50_ms, r.p99_ms, r.hit_rate * 100.0,
                 static_cast<unsigned long long>(r.completed),
                 static_cast<unsigned long long>(r.swaps),
-                static_cast<unsigned long long>(r.MinWindow()));
+                static_cast<unsigned long long>(r.MinWindow()), r.UpdateMs(0.50),
+                r.UpdateMs(0.99));
   };
   row("steady", steady);
   row("churned", churned);

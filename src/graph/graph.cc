@@ -44,6 +44,7 @@ std::span<const VertexId> Graph::VerticesWithLabel(Label label) const {
 std::size_t Graph::MemoryBytes() const {
   return labels_.size() * sizeof(Label) + offsets_.size() * sizeof(std::uint64_t) +
          adjacency_.size() * sizeof(VertexId) +
+         edge_labels_.size() * sizeof(Label) +
          label_index_offsets_.size() * sizeof(std::uint64_t) +
          label_index_.size() * sizeof(VertexId) +
          hub_ids_.size() * sizeof(VertexId) +
@@ -57,6 +58,54 @@ std::string Graph::Summary() const {
                 HumanCount(static_cast<double>(NumEdges())).c_str(), AverageDegree(),
                 MaxDegree(), NumLabels());
   return buf;
+}
+
+Status Graph::FinishIndexes() {
+  const std::size_t n = labels_.size();
+  if (adjacency_.size() % 2 != 0) {
+    return Status::Internal("CSR symmetry broken: odd directed edge count");
+  }
+
+  max_degree_ = 0;
+  for (std::size_t v = 0; v < n; ++v) {
+    max_degree_ = std::max(max_degree_, degree(static_cast<VertexId>(v)));
+  }
+
+  // Label index.
+  Label max_label = 0;
+  for (Label l : labels_) max_label = std::max(max_label, l);
+  const std::size_t n_labels = n == 0 ? 0 : static_cast<std::size_t>(max_label) + 1;
+  label_index_offsets_.assign(n_labels + 1, 0);
+  for (Label l : labels_) ++label_index_offsets_[l + 1];
+  for (std::size_t i = 0; i < n_labels; ++i) {
+    label_index_offsets_[i + 1] += label_index_offsets_[i];
+  }
+  label_index_.resize(n);
+  std::vector<std::uint64_t> cursor(label_index_offsets_.begin(),
+                                    label_index_offsets_.end());
+  for (std::size_t v = 0; v < n; ++v) {
+    label_index_[cursor[labels_[v]]++] = static_cast<VertexId>(v);
+  }
+
+  // Hub dual representation: bitmap adjacency rows for vertices whose degree
+  // exceeds max(64, |V|/32), so each row costs at most as much as the sorted
+  // list it shadows. ApplyDelta ends here too, so the rows track the live
+  // snapshot automatically.
+  hub_threshold_ =
+      static_cast<std::uint32_t>(std::max<std::size_t>(64, n / 32));
+  hub_row_words_ = (n + 63) / 64;
+  for (std::size_t v = 0; v < n; ++v) {
+    if (degree(static_cast<VertexId>(v)) > hub_threshold_) {
+      hub_ids_.push_back(static_cast<VertexId>(v));
+    }
+  }
+  hub_bits_.assign(hub_ids_.size() * hub_row_words_, 0);
+  for (std::size_t row = 0; row < hub_ids_.size(); ++row) {
+    const std::span<std::uint64_t> bits{
+        hub_bits_.data() + row * hub_row_words_, hub_row_words_};
+    for (VertexId w : neighbors(hub_ids_[row])) simd::SetBit(bits, w);
+  }
+  return Status::OK();
 }
 
 Status GraphBuilder::AddEdge(VertexId u, VertexId v, Label edge_label) {
@@ -141,49 +190,7 @@ StatusOr<Graph> GraphBuilder::Build() {
     g.edge_labels_.shrink_to_fit();
   }
   g.offsets_ = std::move(new_offsets);
-  if (g.adjacency_.size() % 2 != 0) {
-    return Status::Internal("CSR symmetry broken: odd directed edge count");
-  }
-
-  g.max_degree_ = 0;
-  for (std::size_t v = 0; v < n; ++v) {
-    g.max_degree_ = std::max(g.max_degree_, g.degree(static_cast<VertexId>(v)));
-  }
-
-  // Label index.
-  Label max_label = 0;
-  for (Label l : g.labels_) max_label = std::max(max_label, l);
-  const std::size_t n_labels = n == 0 ? 0 : static_cast<std::size_t>(max_label) + 1;
-  g.label_index_offsets_.assign(n_labels + 1, 0);
-  for (Label l : g.labels_) ++g.label_index_offsets_[l + 1];
-  for (std::size_t i = 0; i < n_labels; ++i) {
-    g.label_index_offsets_[i + 1] += g.label_index_offsets_[i];
-  }
-  g.label_index_.resize(n);
-  std::vector<std::uint64_t> cursor(g.label_index_offsets_.begin(),
-                                    g.label_index_offsets_.end());
-  for (std::size_t v = 0; v < n; ++v) {
-    g.label_index_[cursor[g.labels_[v]]++] = static_cast<VertexId>(v);
-  }
-
-  // Hub dual representation: bitmap adjacency rows for vertices whose degree
-  // exceeds max(64, |V|/32), so each row costs at most as much as the sorted
-  // list it shadows. ApplyDelta rebuilds flow through here, so the rows track
-  // the live snapshot automatically.
-  g.hub_threshold_ =
-      static_cast<std::uint32_t>(std::max<std::size_t>(64, n / 32));
-  g.hub_row_words_ = (n + 63) / 64;
-  for (std::size_t v = 0; v < n; ++v) {
-    if (g.degree(static_cast<VertexId>(v)) > g.hub_threshold_) {
-      g.hub_ids_.push_back(static_cast<VertexId>(v));
-    }
-  }
-  g.hub_bits_.assign(g.hub_ids_.size() * g.hub_row_words_, 0);
-  for (std::size_t row = 0; row < g.hub_ids_.size(); ++row) {
-    const std::span<std::uint64_t> bits{
-        g.hub_bits_.data() + row * g.hub_row_words_, g.hub_row_words_};
-    for (VertexId w : g.neighbors(g.hub_ids_[row])) simd::SetBit(bits, w);
-  }
+  FAST_RETURN_IF_ERROR(g.FinishIndexes());
   return g;
 }
 

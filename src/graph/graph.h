@@ -27,7 +27,10 @@ using Label = std::uint32_t;
 
 inline constexpr VertexId kInvalidVertex = static_cast<VertexId>(-1);
 
-// Immutable CSR graph. Construct via GraphBuilder.
+struct GraphDelta;  // graph/graph_delta.h
+
+// Immutable CSR graph. Construct via GraphBuilder, or from a base graph and a
+// GraphDelta via ApplyDelta.
 class Graph {
  public:
   Graph() = default;
@@ -94,7 +97,8 @@ class Graph {
                : 2.0 * static_cast<double>(NumEdges()) / static_cast<double>(NumVertices());
   }
 
-  // Approximate resident memory of the CSR arrays, in bytes.
+  // Approximate resident memory of the CSR arrays (adjacency, edge labels,
+  // label index and hub rows), in bytes.
   std::size_t MemoryBytes() const;
 
   // One-line summary, e.g. "|V|=3.18M |E|=17.24M d_avg=10.84 D=464368 L=11".
@@ -102,6 +106,12 @@ class Graph {
 
  private:
   friend class GraphBuilder;
+  friend StatusOr<Graph> ApplyDelta(const Graph& base, const GraphDelta& delta);
+
+  // Derives max degree, the label index and the hub rows from labels_,
+  // offsets_ and adjacency_; Internal when the CSR has an odd directed edge
+  // count. Every construction path ends here, so the indexes cannot drift.
+  Status FinishIndexes();
 
   std::vector<Label> labels_;
   std::vector<std::uint64_t> offsets_;   // size |V|+1

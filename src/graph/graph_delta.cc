@@ -1,19 +1,25 @@
 #include "graph/graph_delta.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
-#include <unordered_set>
 
 namespace fast {
 
 namespace {
 
-// Order-normalized edge key for the removal set.
-std::uint64_t EdgeKey(VertexId u, VertexId v) {
-  if (u > v) std::swap(u, v);
-  return (static_cast<std::uint64_t>(u) << 32) | v;
+// Directed (u, w) key: sorting keys groups them into per-u runs ordered by w.
+std::uint64_t ArcKey(VertexId u, VertexId w) {
+  return (static_cast<std::uint64_t>(u) << 32) | w;
 }
+VertexId ArcSource(std::uint64_t key) { return static_cast<VertexId>(key >> 32); }
+VertexId ArcTarget(std::uint64_t key) { return static_cast<VertexId>(key); }
+
+struct ArcAdd {
+  std::uint64_t key;
+  Label label;
+};
 
 }  // namespace
 
@@ -37,47 +43,118 @@ StatusOr<Graph> ApplyDelta(const Graph& base, const GraphDelta& delta) {
     }
     removed[v] = 1;
   }
-  std::unordered_set<std::uint64_t> removed_edges;
-  removed_edges.reserve(delta.remove_edges.size());
+  // Removed base edges and added edges as per-vertex sorted runs, both
+  // directions of every edge.
+  std::vector<std::uint64_t> cuts;
+  cuts.reserve(2 * delta.remove_edges.size());
   for (const auto& [u, v] : delta.remove_edges) {
     if (u >= n_ext || v >= n_ext) {
       return Status::InvalidArgument("remove_edges: endpoint out of range");
     }
-    removed_edges.insert(EdgeKey(u, v));
+    cuts.push_back(ArcKey(u, v));
+    cuts.push_back(ArcKey(v, u));
   }
-
-  // Surviving vertices, compacted in extended-numbering order.
-  std::vector<VertexId> new_id(n_ext, kInvalidVertex);
-  GraphBuilder builder(n_ext);
-  for (std::size_t v = 0; v < n_ext; ++v) {
-    if (removed[v]) continue;
-    const Label l = v < n_base ? base.label(static_cast<VertexId>(v))
-                               : delta.add_vertices[v - n_base];
-    new_id[v] = builder.AddVertex(l);
-  }
-
-  // Surviving base edges first: builder dedup keeps the first label seen, so
-  // a base edge wins over a re-added copy unless it was removed in the same
-  // delta (the documented relabel idiom).
-  for (VertexId u = 0; u < n_base; ++u) {
-    if (removed[u]) continue;
-    const auto nbrs = base.neighbors(u);
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      const VertexId w = nbrs[i];
-      if (u >= w || removed[w]) continue;
-      if (!removed_edges.empty() && removed_edges.count(EdgeKey(u, w))) continue;
-      FAST_RETURN_IF_ERROR(builder.AddEdge(new_id[u], new_id[w], base.EdgeLabelAt(u, i)));
-    }
-  }
+  std::sort(cuts.begin(), cuts.end());
+  std::vector<ArcAdd> adds;
+  adds.reserve(2 * delta.add_edges.size());
+  bool add_labels = false;
   for (const GraphDelta::EdgeAdd& e : delta.add_edges) {
     if (e.u >= n_ext || e.v >= n_ext) {
       return Status::InvalidArgument("add_edges: endpoint out of range");
     }
     // An edge incident to a vertex removed in the same delta: removal wins.
-    if (removed[e.u] || removed[e.v]) continue;
-    FAST_RETURN_IF_ERROR(builder.AddEdge(new_id[e.u], new_id[e.v], e.label));
+    if (removed[e.u] || removed[e.v] || e.u == e.v) continue;
+    adds.push_back({ArcKey(e.u, e.v), e.label});
+    adds.push_back({ArcKey(e.v, e.u), e.label});
+    // Like GraphBuilder, a labelled add marks the graph labelled even when a
+    // base edge wins the dedup below.
+    add_labels |= e.label != 0;
   }
-  return builder.Build();
+  // Stable sort + unique keeps the first add of each edge in add_edges order.
+  std::stable_sort(adds.begin(), adds.end(),
+                   [](const ArcAdd& a, const ArcAdd& b) { return a.key < b.key; });
+  adds.erase(std::unique(adds.begin(), adds.end(),
+                         [](const ArcAdd& a, const ArcAdd& b) { return a.key == b.key; }),
+             adds.end());
+
+  // Surviving vertices, compacted in extended-numbering order. new_id is
+  // monotone, so remapped adjacency lists stay sorted.
+  Graph g;
+  std::vector<VertexId> new_id(n_ext, kInvalidVertex);
+  g.labels_.reserve(n_ext);
+  for (std::size_t v = 0; v < n_ext; ++v) {
+    if (removed[v]) continue;
+    new_id[v] = static_cast<VertexId>(g.labels_.size());
+    g.labels_.push_back(v < n_base ? base.label(static_cast<VertexId>(v))
+                                   : delta.add_vertices[v - n_base]);
+  }
+  const bool remap = g.labels_.size() != n_ext;
+  const bool base_labels = base.has_edge_labels();
+  const bool write_labels = base_labels || add_labels;
+
+  const std::size_t bound = base.adjacency_.size() + adds.size();
+  g.offsets_.resize(g.labels_.size() + 1);
+  g.adjacency_.resize(bound);
+  if (write_labels) g.edge_labels_.resize(bound);
+  std::size_t out = 0;
+  auto cut = cuts.begin();
+  auto add = adds.begin();
+  for (std::size_t v = 0; v < n_ext; ++v) {
+    const auto vid = static_cast<VertexId>(v);
+    const auto cut_begin = cut;
+    while (cut != cuts.end() && ArcSource(*cut) == vid) ++cut;
+    const auto add_begin = add;
+    while (add != adds.end() && ArcSource(add->key) == vid) ++add;
+    if (removed[v]) continue;
+    g.offsets_[new_id[v]] = out;
+
+    const std::size_t base_at = v < n_base ? base.offsets_[v] : 0;
+    const std::size_t base_len = v < n_base ? base.degree(vid) : 0;
+    const VertexId* nbrs = base.adjacency_.data() + base_at;
+    const auto emit = [&](VertexId w, Label l) {
+      g.adjacency_[out] = new_id[w];
+      if (write_labels) g.edge_labels_[out] = l;
+      ++out;
+    };
+    if (!remap && cut_begin == cut && add_begin == add) {
+      // Untouched and no ids shift: the base list is already the output.
+      std::copy(nbrs, nbrs + base_len, g.adjacency_.begin() + out);
+      if (base_labels) {
+        std::copy(base.edge_labels_.begin() + base_at,
+                  base.edge_labels_.begin() + base_at + base_len,
+                  g.edge_labels_.begin() + out);
+      }
+      out += base_len;
+      continue;
+    }
+    // Merge the filtered base list with the add run by extended id; on a tie
+    // the base edge (and its label) wins, as GraphBuilder's first-seen dedup.
+    auto c = cut_begin;
+    auto a = add_begin;
+    for (std::size_t i = 0; i < base_len; ++i) {
+      const VertexId w = nbrs[i];
+      if (removed[w]) continue;
+      while (c != cut && ArcTarget(*c) < w) ++c;
+      if (c != cut && ArcTarget(*c) == w) continue;
+      for (; a != add && ArcTarget(a->key) <= w; ++a) {
+        if (ArcTarget(a->key) < w) emit(ArcTarget(a->key), a->label);
+      }
+      emit(w, base.EdgeLabelAt(vid, i));
+    }
+    for (; a != add; ++a) emit(ArcTarget(a->key), a->label);
+  }
+  g.offsets_[g.labels_.size()] = out;
+  g.adjacency_.resize(out);
+  // The output is labelled when an add carried a label or a non-zero base
+  // label survived, exactly when GraphBuilder would have kept the array.
+  const bool labelled =
+      add_labels || (base_labels && std::any_of(g.edge_labels_.begin(),
+                                                g.edge_labels_.begin() + out,
+                                                [](Label l) { return l != 0; }));
+  g.edge_labels_.resize(labelled ? out : 0);
+  if (!labelled) g.edge_labels_.shrink_to_fit();
+  FAST_RETURN_IF_ERROR(g.FinishIndexes());
+  return g;
 }
 
 StatusOr<GraphDelta> ParseDeltaText(const std::string& text) {

@@ -5,7 +5,7 @@
 //
 // The CSR substrate (graph/graph.h) is deliberately immutable: every reader
 // in the pipeline assumes sorted adjacency and a frozen label index. Updates
-// are therefore expressed as a GraphDelta batch, and ApplyDelta rebuilds a
+// are therefore expressed as a GraphDelta batch, and ApplyDelta writes a
 // fresh CSR off-line from {base graph + delta} without touching the base.
 // The service layer (src/service/) publishes the result as a new epoch
 // snapshot while in-flight queries finish on the old one.
@@ -15,17 +15,24 @@
 //      added vertex gets id |V_base| + k ("extended numbering").
 //   2. remove_edges / add_edges: interpreted in the extended numbering.
 //      Removing an absent edge is a no-op. Re-adding an existing edge keeps
-//      the base label (builder dedup keeps the first label seen); to relabel
-//      an edge, remove and re-add it in the same delta.
+//      the base label, and among duplicate adds the first in add_edges order
+//      wins; to relabel an edge, remove and re-add it in the same delta.
+//      Self-loops are dropped.
 //   3. remove_vertices: each removed vertex disappears with its incident
 //      edges (including edges added by this delta); surviving vertices are
 //      compacted to dense ids in their extended-numbering order. Vertex ids
 //      are thus per-snapshot: clients resolve external keys against the
 //      snapshot they query.
 //
-// The rebuild is O(|V| + |E| + |delta|); delta-CSR ingestion (merging small
-// deltas without a full rebuild) is the planned follow-on for high update
-// rates (see ROADMAP.md).
+// ApplyDelta is one linear merge over the base CSR, whose adjacency lists are
+// already sorted and unique. The delta's removed and added edges are sorted
+// into per-vertex runs (both directions of each edge). Vertices are then
+// walked in extended-numbering order: an untouched vertex's list is copied
+// as is, or filtered and remapped through the monotone compaction when
+// vertices were removed; a touched vertex merges its filtered base list with
+// its add run. The label index and hub rows are then derived as for a built
+// graph. The cost is about one copy of the graph, O(|V| + |E|), plus
+// O(|delta| log |delta|) for the runs; nothing is re-sorted per vertex.
 
 #include <string>
 #include <utility>
@@ -62,9 +69,10 @@ struct GraphDelta {
   std::string Summary() const;
 };
 
-// Rebuilds a fresh CSR graph from base + delta (see semantics above). The
-// base graph is not modified. InvalidArgument when a delta id is out of
-// range of the extended numbering.
+// Merges base + delta into a fresh CSR graph (see semantics above). The
+// base graph is not modified. The result equals what GraphBuilder would
+// build from the surviving base edges followed by add_edges. InvalidArgument
+// when a delta id is out of range of the extended numbering.
 StatusOr<Graph> ApplyDelta(const Graph& base, const GraphDelta& delta);
 
 // Text format for deltas, one op per line ('#' comments allowed):

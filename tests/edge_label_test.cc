@@ -102,6 +102,23 @@ TEST(EdgeLabelGraphTest, EdgeLabelAtAlignedWithNeighbors) {
   }
 }
 
+TEST(EdgeLabelGraphTest, MemoryBytesCountsEdgeLabels) {
+  // The unlabelled twin: same vertices and edges, every edge label 0.
+  const Graph labelled = RelationGraph();
+  GraphBuilder b;
+  for (VertexId v = 0; v < labelled.NumVertices(); ++v) b.AddVertex(labelled.label(v));
+  for (VertexId v = 0; v < labelled.NumVertices(); ++v) {
+    for (VertexId w : labelled.neighbors(v)) {
+      if (v < w) EXPECT_TRUE(b.AddEdge(v, w).ok());
+    }
+  }
+  const Graph plain = std::move(b).Build().value();
+  ASSERT_FALSE(plain.has_edge_labels());
+  ASSERT_EQ(plain.NumEdges(), labelled.NumEdges());
+  EXPECT_EQ(labelled.MemoryBytes() - plain.MemoryBytes(),
+            2 * labelled.NumEdges() * sizeof(Label));
+}
+
 TEST(EdgeLabelMatchTest, FriendTriangleExcludesEnemyTriangle) {
   Graph g = RelationGraph();
   QueryGraph q = FriendTriangle();

@@ -18,6 +18,7 @@
 #include "service/match_service.h"
 #include "tenant/tenant_router.h"
 #include "tests/test_util.h"
+#include "tests/trace_checks.h"
 
 namespace fast {
 namespace {
@@ -27,65 +28,19 @@ using obs::MetricsRegistry;
 using obs::RequestObs;
 using obs::RequestTrace;
 using obs::Span;
-using obs::SpanName;
 using obs::TraceRing;
 using obs::TraceSpan;
 using testing::PaperDataGraph;
 using testing::PaperQuery;
-
-std::vector<TraceSpan> WallSpans(const CompletedTrace& trace) {
-  std::vector<TraceSpan> wall;
-  for (const TraceSpan& s : trace.spans) {
-    if (!s.simulated) wall.push_back(s);
-  }
-  return wall;
-}
+using testing::ExpectWallSpans;
+using testing::ExpectWallSpansOrdered;
+using testing::WallSpans;
 
 bool HasSpan(const CompletedTrace& trace, Span span, bool simulated) {
   return std::any_of(trace.spans.begin(), trace.spans.end(),
                      [&](const TraceSpan& s) {
                        return s.span == span && s.simulated == simulated;
                      });
-}
-
-// Wall spans must tile the timeline in order: starts non-decreasing, each
-// span starting no earlier than the previous one ended (modulo float noise).
-void ExpectWallSpansOrdered(const CompletedTrace& trace) {
-  const std::vector<TraceSpan> wall = WallSpans(trace);
-  ASSERT_FALSE(wall.empty());
-  for (std::size_t i = 0; i < wall.size(); ++i) {
-    EXPECT_GE(wall[i].start_seconds, 0.0) << SpanName(wall[i].span);
-    EXPECT_GE(wall[i].duration_seconds, 0.0) << SpanName(wall[i].span);
-    if (i > 0) {
-      const double prev_end =
-          wall[i - 1].start_seconds + wall[i - 1].duration_seconds;
-      EXPECT_GE(wall[i].start_seconds, prev_end - 1e-9)
-          << SpanName(wall[i - 1].span) << " overlaps "
-          << SpanName(wall[i].span);
-    }
-  }
-}
-
-// The wall spans of a served request, load-independently: `required` appear
-// in this order, no two wall spans overlap, and the last one ends no later
-// than the request's end-to-end latency. (A coverage ratio would depend on
-// how long the host kept the request waiting between spans.)
-void ExpectWallSpans(const CompletedTrace& trace, std::vector<Span> required) {
-  ExpectWallSpansOrdered(trace);
-  const std::vector<TraceSpan> wall = WallSpans(trace);
-  ASSERT_FALSE(wall.empty());
-  std::size_t next = 0;
-  for (const TraceSpan& s : wall) {
-    if (next < required.size() && s.span == required[next]) ++next;
-  }
-  EXPECT_EQ(next, required.size())
-      << "missing or out of order: "
-      << (next < required.size() ? SpanName(required[next]) : "") << " in "
-      << trace.Summary();
-  const TraceSpan& last = wall.back();
-  EXPECT_LE(last.start_seconds + last.duration_seconds, trace.total_seconds + 1e-9)
-      << trace.Summary();
-  EXPECT_LE(trace.WallSpanSeconds(), trace.total_seconds + 1e-9);
 }
 
 TEST(RequestTraceTest, BeginAutoClosesAndSpansStayMonotonic) {
